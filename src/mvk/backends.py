@@ -1,31 +1,15 @@
-"""Evaluation backends for the scalar kernel matrices.
+"""Scalar kernel matrices, the pairwise Gaussian and polynomial cross matrices.
 
-The pairwise kernel matrices (Gaussian / polynomial cross matrices) are the
-only hot inner loops in the package; everything downstream is dense LAPACK.
-Two interchangeable implementations are provided:
-
-* a numba ``@njit`` version (default when numba imports cleanly),
-* a pure-numpy version.
-
-Selection is via the environment variable ``MVK_BACKEND``:
-
-* ``MVK_BACKEND=numba`` (default) -- use the jitted kernels,
-* ``MVK_BACKEND=numpy``           -- force the vectorized numpy path.
-
-Both backends accept ``X`` of shape (n, d) and ``Y`` of shape (q, d) and
-return the (n, q) matrix of kernel values.
+These are the only elementwise inner loops in the package; everything
+downstream is dense LAPACK.  Both functions accept ``X`` of shape (n, d)
+and ``Y`` of shape (q, d) and return the (n, q) matrix of kernel values,
+computed with vectorized numpy.
 """
-
-import os
 
 import numpy as np
 
-_REQUESTED = os.environ.get("MVK_BACKEND", "numba").strip().lower()
-if _REQUESTED not in ("numba", "numpy"):
-    raise ValueError(f"MVK_BACKEND must be 'numba' or 'numpy', got {_REQUESTED!r}")
 
-
-def _sq_dists_numpy(X, Y):
+def _sq_dists(X, Y):
     # (x - y)^2 expanded; clamp tiny negatives from cancellation
     d2 = (
         np.sum(X * X, axis=1)[:, None]
@@ -35,71 +19,20 @@ def _sq_dists_numpy(X, Y):
     return np.maximum(d2, 0.0)
 
 
-def _gaussian_cross_numpy(X, Y, eps):
-    return np.exp(-eps * _sq_dists_numpy(X, Y))
-
-
-def _polynomial_cross_numpy(X, Y, degree):
-    return (X @ Y.T) ** degree
-
-
-_HAVE_NUMBA = False
-if _REQUESTED == "numba":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - env without numba
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gaussian_cross_numba(X, Y, eps):  # pragma: no cover - compiled
-        n, d = X.shape
-        q = Y.shape[0]
-        out = np.empty((n, q))
-        for i in range(n):
-            for j in range(q):
-                s = 0.0
-                for l in range(d):
-                    t = X[i, l] - Y[j, l]
-                    s += t * t
-                out[i, j] = np.exp(-eps * s)
-        return out
-
-    @njit(cache=True)
-    def _polynomial_cross_numba(X, Y, degree):  # pragma: no cover - compiled
-        n, d = X.shape
-        q = Y.shape[0]
-        out = np.empty((n, q))
-        for i in range(n):
-            for j in range(q):
-                s = 0.0
-                for l in range(d):
-                    s += X[i, l] * Y[j, l]
-                out[i, j] = s**degree
-        return out
-
-
 def backend_name() -> str:
-    """Name of the active backend ('numba' or 'numpy')."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the evaluation backend; numpy is the only one."""
+    return "numpy"
 
 
 def gaussian_cross(X, Y, eps):
     """Matrix of exp(-eps * ||x_i - y_j||^2) values."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _gaussian_cross_numba(X, Y, float(eps))
-    return _gaussian_cross_numpy(X, Y, float(eps))
+    return np.exp(-float(eps) * _sq_dists(X, Y))
 
 
 def polynomial_cross(X, Y, degree):
     """Matrix of (x_i . y_j)^degree values."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _polynomial_cross_numba(X, Y, int(degree))
-    return _polynomial_cross_numpy(X, Y, int(degree))
+    return (X @ Y.T) ** int(degree)

@@ -211,11 +211,7 @@ def example2_run(seed=42, n_centers=100, n_sites=5, include_sites=False,
         errinf = np.max(np.abs(E), axis=1)
         err1 = np.sum(np.abs(E), axis=1)
 
-        D = pe.deficiency_many(T)
-        spec = np.sqrt(np.maximum(np.linalg.norm(D, 2, axis=(1, 2)), 0.0))
-        diag = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
-        m = kernel.m
-        factors = {"two": spec, "inf": diag, "one": np.sqrt(m) * spec}
+        factors = pe.bound_factors(T)
         errs = {"two": err2, "inf": errinf, "one": err1}
         records.append(
             {
@@ -405,19 +401,13 @@ def cmd_eval(args):
     ]
     if args.bounds:
         pe = PowerEvaluator.build(s.kernel, s.centers)
-        D = pe.deficiency_many(X)
-        spec = np.sqrt(np.maximum(np.linalg.norm(D, 2, axis=(1, 2)), 0.0))
-        diag = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
+        factors = pe.bound_factors(X)
         r = args.residual_norm if args.residual_norm is not None else (
             args.f_norm if args.f_norm is not None else 1.0
         )
         columns += ["delta1_two", "delta1_inf", "delta1_one"]
         for i in range(len(X)):
-            rows[i] += [
-                float(spec[i] * r),
-                float(diag[i] * r),
-                float(np.sqrt(s.kernel.m) * spec[i] * r),
-            ]
+            rows[i] += [float(factors[k][i] * r) for k in ("two", "inf", "one")]
     _write_csv(args.out_csv, "eval", eff, columns, rows)
     print(f"eval: wrote {args.out_csv}")
     return 0

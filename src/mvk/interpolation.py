@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .kernels import PointSet, SeparableKernel
+from .kernels import PointSet, SeparableKernel, _as_point
 from .linalg import PSD_TOL, RANK_TOL, pinv_sym, rank_of, sym_eig
 
 # Relative residual beyond which a Cholesky fit is flagged ill-conditioned.
@@ -43,18 +43,12 @@ class Interpolant:
     solver_info: dict
 
     def __call__(self, x):
-        """Evaluate s(x) = cross(k, x, X) @ coeffs."""
-        if self.centers.n == 0:
-            return np.zeros(self.kernel.m)
-        return self.kernel.cross(x, self.centers) @ self.coeffs
+        """Evaluate s(x) = sum_i k(x, x_i) alpha_i at one point, returns (m,)."""
+        return self.evaluate_many(_as_point(x, self.centers.d)[None, :])[0]
 
     def evaluate_many(self, Xq):
         """Evaluate at a (q, d) batch of points, returns (q, m)."""
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        if self.centers.n == 0:
-            return np.zeros((Xq.shape[0], self.kernel.m))
-        C = self.kernel.cross_many(Xq, self.centers)
-        return C @ self.coeffs
+        return self.kernel.apply(Xq, self.centers, self.coeff_blocks())
 
     def coeff_blocks(self):
         """Coefficients as an (n, m) array, row i = alpha_i."""
@@ -123,23 +117,16 @@ class NativeSpanFunction:
     weights: np.ndarray  # shape (q, m)
 
     def __call__(self, x):
-        if self.sites.n == 0:
-            return np.zeros(self.kernel.m)
-        return self.kernel.cross(x, self.sites) @ self.weights.reshape(-1)
+        return self.evaluate_many(_as_point(x, self.sites.d)[None, :])[0]
 
     def evaluate_many(self, Xq):
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        if self.sites.n == 0:
-            return np.zeros((Xq.shape[0], self.kernel.m))
-        C = self.kernel.cross_many(Xq, self.sites)
-        return C @ self.weights.reshape(-1)
+        return self.kernel.apply(Xq, self.sites, self.weights)
 
 
 def native_norm_sq(f: NativeSpanFunction, psd_tol=PSD_TOL):
     """Squared native-space norm, the Gram quadratic form of the weights."""
     if f.sites.n == 0:
         return 0.0
-    f.sites.assert_distinct()
     beta = f.weights.reshape(-1)
     G = f.kernel.gramian(f.sites)
     val = float(beta @ G @ beta)
@@ -147,13 +134,6 @@ def native_norm_sq(f: NativeSpanFunction, psd_tol=PSD_TOL):
     if val < -psd_tol * scale:
         raise RuntimeError(f"native norm came out negative ({val:.3e})")
     return max(val, 0.0)
-
-
-def _interpolant_norm_sq(s: Interpolant):
-    if s.centers.n == 0:
-        return 0.0
-    alpha = s.coeffs
-    return float(alpha @ s.kernel.gramian(s.centers) @ alpha)
 
 
 def residual_norm_sq(f: NativeSpanFunction, s: Interpolant, rel_tol=1e-8):

@@ -5,8 +5,11 @@ A separable matrix-valued kernel is a finite sum
     k(x, y) = sum_i k_i(x, y) * Q_i
 
 with scalar kernels ``k_i`` and symmetric m x m coefficient matrices
-``Q_i``.  Its block Gramian on a point set X has the Kronecker structure
-``sum_i k_i(X, X) (x) Q_i`` which is how it is assembled here.
+``Q_i``.  Its block kernel matrices have the Kronecker structure
+``sum_i k_i(X, Y) (x) Q_i``, and every evaluation here works from the
+per-term scalar matrices ``k_i(X, Y)``: the Gramian and the dense cross
+blocks are assembled from them, and interpolants are evaluated term by
+term without forming the block matrix at all.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backends
-from .linalg import PSD_TOL, check_symmetric, is_psd, kron, symmetrize
+from .linalg import PSD_TOL, check_symmetric, is_psd, symmetrize
 
 # Minimal pairwise distance for interpolation centers, in the input scale.
 DUP_TOL = 1e-12
@@ -66,6 +69,13 @@ class ScalarKernel:
         if self.kind == "gaussian":
             return backends.gaussian_cross(X, Y, self.shape)
         return backends.polynomial_cross(X, Y, self.degree)
+
+    def diag(self, X):
+        """Values k(x, x) for the rows x of X (q, d), shape (q,)."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if self.kind == "gaussian":
+            return np.ones(X.shape[0])
+        return np.einsum("ij,ij->i", X, X) ** self.degree
 
     def __call__(self, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -205,21 +215,24 @@ class SeparableKernel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim <= 1:
             return self(x, x)
-        out = np.zeros((x.shape[0], self.m, self.m))
+        return sum(ks.diag(x)[:, None, None] * Q for ks, Q in self.terms)
+
+    def _blocks(self, Xa, Xb):
+        """sum_i kron(k_i(Xa, Xb), Q_i) laid out as an (na, m, nb, m) array."""
+        # Summed as (m, m, na, nb), whose inner loops run over the long
+        # point axis, then copied once into block layout; broadcasting into
+        # the block layout directly runs inner loops of length m.
+        S = np.zeros((self.m, self.m, len(Xa), len(Xb)))
         for ks, Q in self.terms:
-            kxx = np.array([ks(p, p) for p in x])
-            out += kxx[:, None, None] * Q
-        return out
+            S += Q[:, :, None, None] * ks.cross(Xa, Xb)
+        return S.transpose(2, 0, 3, 1).copy()
 
     def gramian(self, X: PointSet, check_distinct=True):
-        """Block Gramian k(X, X), assembled as sum_i kron(K_i, Q_i)."""
+        """Block Gramian k(X, X) = sum_i kron(K_i, Q_i), shape (m n, m n)."""
         if check_distinct:
             X.assert_distinct()
-        n = X.n
-        G = np.zeros((n * self.m, n * self.m))
-        for ks, Q in self.terms:
-            G += kron(ks.cross(X.points, X.points), Q)
-        return symmetrize(G)
+        nm = X.n * self.m
+        return symmetrize(self._blocks(X.points, X.points).reshape(nm, nm))
 
     def cross(self, x, X: PointSet):
         """Row of blocks [k(x, x_1) ... k(x, x_n)], shape (m, m n)."""
@@ -230,11 +243,24 @@ class SeparableKernel:
         """Cross blocks for a batch of query points, shape (q, m, m n)."""
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
         q = Xq.shape[0]
-        out = np.zeros((q, self.m, X.n * self.m))
+        if X.n == 0:
+            return np.zeros((q, self.m, 0))
+        return self._blocks(Xq, X.points).reshape(q, self.m, X.n * self.m)
+
+    def apply(self, Xq, X: PointSet, A):
+        """sum_j k(x, x_j) a_j at each row x of Xq, shape (q, m).
+
+        ``A`` is the (n, m) array whose row j is a_j.  It is evaluated term
+        by term as sum_i k_i(Xq, X) (A Q_i), which never forms the
+        (q, m, m n) cross blocks.
+        """
+        Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
+        out = np.zeros((Xq.shape[0], self.m))
+        if X.n == 0:
+            return out
+        A = np.asarray(A, dtype=np.float64).reshape(X.n, self.m)
         for ks, Q in self.terms:
-            rows = ks.cross(Xq, X.points) if X.n else np.zeros((q, 0))
-            # kron of a 1 x n row with Q, batched over queries
-            out += np.einsum("qn,ab->qanb", rows, Q).reshape(q, self.m, X.n * self.m)
+            out += ks.cross(Xq, X.points) @ (A @ Q)
         return out
 
     def hadamard_power(self, n: int) -> "MatrixPowerKernel":

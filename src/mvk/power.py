@@ -36,7 +36,6 @@ class PowerEvaluator:
     def build(cls, kernel, centers, rank_tol=RANK_TOL):
         if centers.n == 0:
             return cls(kernel, centers, np.zeros((0, 0)), rank_tol)
-        centers.assert_distinct()
         G = kernel.gramian(centers)
         return cls(kernel, centers, pinv_sym(G, rank_tol), rank_tol)
 
@@ -59,9 +58,24 @@ class PowerEvaluator:
         if self.centers.n == 0:
             return kxx
         C = self.kernel.cross_many(Xq, self.centers)
-        kn = np.einsum("qan,qbn->qab", C @ self.gram_pinv, C)
+        # One (q m, m n) x (m n, m n) GEMM; a 3-D C would make numpy issue
+        # one small GEMM per query point.
+        CP = (C.reshape(-1, C.shape[2]) @ self.gram_pinv).reshape(C.shape)
+        kn = np.einsum("qan,qbn->qab", CP, C)
         D = kxx - kn
         return 0.5 * (D + np.swapaxes(D, 1, 2))
+
+    def bound_factors(self, Xq):
+        """Pointwise error-bound factors for a (q, d) batch.
+
+        With D(x) the deficiency matrix, returns a dict of (q,) arrays:
+        ``two`` = ||D||_2^(1/2), ``inf`` = max_i |D_ii|^(1/2) and
+        ``one`` = sqrt(m) ||D||_2^(1/2).
+        """
+        D = self.deficiency_many(Xq)
+        two = np.sqrt(np.maximum(np.linalg.norm(D, 2, axis=(1, 2)), 0.0))
+        inf = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
+        return {"two": two, "inf": inf, "one": np.sqrt(self.kernel.m) * two}
 
     def power_sq(self, x, alpha, psd_tol=PSD_TOL):
         """Squared power-function alpha^T D(x) alpha, clamped to [0, inf)."""
@@ -87,11 +101,10 @@ class PowerEvaluator:
         """
         if not (f_norm >= residual_norm >= 0):
             raise ValueError("need f_norm >= residual_norm >= 0")
-        D = self.deficiency(x)
-        spec = np.sqrt(max(float(np.linalg.norm(D, 2)), 0.0))
-        diag = np.sqrt(max(float(np.max(np.abs(np.diag(D)))), 0.0))
-        m = self.kernel.m
-        factors = {"two_norm": spec, "inf_norm": diag, "one_norm": np.sqrt(m) * spec}
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        factors = {
+            f"{k}_norm": float(v[0]) for k, v in self.bound_factors(x[None, :]).items()
+        }
         return {
             "with_residual": {k: v * residual_norm for k, v in factors.items()},
             "with_full_norm": {k: v * f_norm for k, v in factors.items()},
