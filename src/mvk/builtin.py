@@ -20,6 +20,10 @@ from .tuning import GridSearchConfig, KernelTemplate, covariance_eigenbasis, sel
 EXAMPLE1_DOMAIN = (-2.0, 2.0)
 EXAMPLE2_DOMAIN = (-1.0, 1.0)
 
+# Validation points and centers of example1's shape grid search.
+EXAMPLE1_TUNE_VALIDATION = 40
+EXAMPLE1_TUNE_CENTERS = 35
+
 # Shape values selected by the original grid-search run; used as defaults.
 REFERENCE_SHAPES = {
     "k1": (1.931,),
@@ -99,17 +103,18 @@ def example1_kernels(v1, v2, v3, shapes=REFERENCE_SHAPES):
     return kernels
 
 
-def example1_tune(v1, v2, v3, seed, grid_size=50, lo=0.1, hi=100.0,
-                  n_validation=40, n_centers=35):
+def example1_tune(v1, v2, v3, seed, grid_size=50, lo=0.1, hi=100.0):
     """Fresh grid search for all four kernels at a fixed seed."""
     rng = np.random.default_rng(seed)
-    validation = PointSet(rng.uniform(*EXAMPLE1_DOMAIN, size=(n_validation, 1)))
+    validation = PointSet(
+        rng.uniform(*EXAMPLE1_DOMAIN, size=(EXAMPLE1_TUNE_VALIDATION, 1))
+    )
     cfg = GridSearchConfig(
         lo=lo,
         hi=hi,
         grid_size=grid_size,
         validation=validation,
-        centers=example1_centers(n_centers),
+        centers=example1_centers(EXAMPLE1_TUNE_CENTERS),
     )
     templates = example1_templates(v1, v2, v3)
     results = {}

@@ -40,6 +40,16 @@ from .linalg import PSD_TOL, RANK_TOL, is_psd, sym_eig
 from .interpolation import LIN_TOL
 from .power import PowerEvaluator
 
+# example2 target: a native-space function on this many random sites.
+EXAMPLE2_SITES = 5
+# example2 test points: a regular grid with this many values per axis.
+EXAMPLE2_TEST_GRID = 20
+# Pseudo-inverse cutoff of example2, deliberately coarser than RANK_TOL:
+# the pseudo-inverse noise scales like eps / cutoff, and with a 1e-10
+# cutoff it swamps the deficiency matrix once the Gramian is numerically
+# rank-deficient at large center counts.
+EXAMPLE2_RANK_TOL = 1e-8
+
 
 def _fmt(v):
     return f"{float(v):.17g}"
@@ -51,12 +61,13 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _header(command, cfg):
+    rank_tol = EXAMPLE2_RANK_TOL if command == "example2" else RANK_TOL
     return [
         f"# mvk {__version__}",
         f"# command: {command}",
         f"# config-hash: {_config_hash(cfg)}",
         f"# seed: {cfg.get('seed')}",
-        f"# tolerances: rank_tol={RANK_TOL:g} psd_tol={PSD_TOL:g} lin_tol={LIN_TOL:g}",
+        f"# tolerances: rank_tol={rank_tol:g} psd_tol={PSD_TOL:g} lin_tol={LIN_TOL:g}",
     ]
 
 
@@ -121,10 +132,7 @@ def cmd_example1(args):
         }
         for name, res in results.items():
             cols = [f"shape_g{g}" for g in sorted(res.shapes)]
-            rows = [
-                [i] + [float(v) for v in res.table[i]]
-                for i in range(res.n_candidates)
-            ]
+            rows = [[i] + r for i, r in enumerate(res.table.tolist())]
             _write_csv(
                 out / f"tuning_{name}.csv",
                 "example1",
@@ -167,30 +175,25 @@ def cmd_example1(args):
 # ---------------------------------------------------------------- example2
 
 
-def example2_run(seed=42, n_centers=100, n_sites=5, include_sites=False,
-                 test_grid=20, rank_tol=1e-8):
+def example2_run(seed=42, n_centers=100, include_sites=False):
     """Core computation behind the example2 subcommand.
 
     Returns per-prefix records and the per-point arrays needed by the
-    validity checks (errors and bounds at every test point).
-
-    ``rank_tol`` is deliberately coarser than the library default: the
-    pseudo-inverse noise scales like eps / cutoff, and with a 1e-10 cutoff
-    it swamps the deficiency matrix once the Gramian is numerically
-    rank-deficient at large center counts.
+    validity checks (errors and bounds at every test point).  The
+    pseudo-inverses use EXAMPLE2_RANK_TOL.
     """
     kernel = builtin.example2_kernel()
     lo, hi = builtin.EXAMPLE2_DOMAIN
     rng = np.random.default_rng(seed)
-    sites = PointSet(rng.uniform(lo, hi, size=(n_sites, 2)))
-    weights = rng.standard_normal((n_sites, kernel.m))
+    sites = PointSet(rng.uniform(lo, hi, size=(EXAMPLE2_SITES, 2)))
+    weights = rng.standard_normal((EXAMPLE2_SITES, kernel.m))
     centers_pts = rng.uniform(lo, hi, size=(n_centers, 2))
     if include_sites:
-        centers_pts[-n_sites:] = sites.points
+        centers_pts[-EXAMPLE2_SITES:] = sites.points
     centers = PointSet(centers_pts)
     f = NativeSpanFunction(kernel, sites, weights)
 
-    g = np.linspace(lo, hi, test_grid)
+    g = np.linspace(lo, hi, EXAMPLE2_TEST_GRID)
     T = np.array([(a, b) for a in g for b in g])
     fT = f.evaluate_many(T)
     f_norm = float(np.sqrt(native_norm_sq(f)))
@@ -198,7 +201,7 @@ def example2_run(seed=42, n_centers=100, n_sites=5, include_sites=False,
     records = []
     for i in range(1, n_centers + 1):
         Xi = centers.prefix(i)
-        pe = PowerEvaluator.build(kernel, Xi, rank_tol=rank_tol)
+        pe = PowerEvaluator.build(kernel, Xi, rank_tol=EXAMPLE2_RANK_TOL)
         alpha = pe.gram_pinv @ f.evaluate_many(Xi.points).reshape(-1)
         s = Interpolant(kernel, Xi, alpha,
                         {"path": "pseudo_inverse", "residual": 0.0,

@@ -17,6 +17,10 @@ from .linalg import EIG_TOL, RANK_TOL, rank_of, sym_eig, symmetrize
 PROP_TOL = 1e-8
 # Samples used by the (heuristic) kernel linear-independence certificate.
 N_INDEPENDENCE_SAMPLES = 200
+# Seed of the generic convex weights in simultaneous_diagonalize.
+COMBINATION_SEED = 12345
+# Relative tolerance for two decompositions agreeing on sampled values.
+MATCH_TOL = 1e-8
 
 
 class NotCommutingError(RuntimeError):
@@ -59,38 +63,41 @@ def _sample_pairs(d, n_samples, seed):
     ]
 
 
-def analyze(kernel: SeparableKernel, rank_tol=RANK_TOL, input_dim=2,
-            n_samples=N_INDEPENDENCE_SAMPLES, seed=0) -> DecompositionReport:
+def orthogonal_products(Qs):
+    """True iff ||Q_i Q_j|| <= EIG_TOL * max(1, ||Q_i|| ||Q_j||) for all i != j."""
+    return all(
+        np.linalg.norm(Qs[i] @ Qs[j]) <= EIG_TOL * max(
+            1.0, np.linalg.norm(Qs[i]) * np.linalg.norm(Qs[j])
+        )
+        for i in range(len(Qs))
+        for j in range(len(Qs))
+        if i != j
+    )
+
+
+def analyze(kernel: SeparableKernel, input_dim=2, seed=0) -> DecompositionReport:
     """Rank arithmetic and independence certificates for a decomposition.
 
     The scalar-kernel independence test is by sampling and can only refute
     or probabilistically support independence.
     """
     Qs = kernel.coefficients()
-    ranks = tuple(rank_of(Q, rank_tol) for Q in Qs)
+    ranks = tuple(rank_of(Q) for Q in Qs)
     rank_sum = int(sum(ranks))
-    rank_of_sum = rank_of(sum(Qs), rank_tol)
+    rank_of_sum = rank_of(sum(Qs))
     uncoupled = rank_of_sum == rank_sum
 
     vec_mat = np.column_stack([Q.reshape(-1) for Q in Qs])
     sv = np.linalg.svd(vec_mat, compute_uv=False)
-    q_indep = int(np.count_nonzero(sv > rank_tol * max(sv.max(), 1e-300))) == kernel.p
+    q_indep = int(np.count_nonzero(sv > RANK_TOL * max(sv.max(), 1e-300))) == kernel.p
 
-    pairs = _sample_pairs(input_dim, n_samples, seed)
+    pairs = _sample_pairs(input_dim, N_INDEPENDENCE_SAMPLES, seed)
     evals = np.array(
         [[ks(x, y) for ks, _ in kernel.terms] for x, y in pairs]
     )
     sv = np.linalg.svd(evals, compute_uv=False)
-    k_indep = int(np.count_nonzero(sv > rank_tol * max(sv.max(), 1e-300))) == kernel.p
+    k_indep = int(np.count_nonzero(sv > RANK_TOL * max(sv.max(), 1e-300))) == kernel.p
 
-    ortho = all(
-        np.linalg.norm(Qs[i] @ Qs[j]) <= EIG_TOL * max(
-            1.0, np.linalg.norm(Qs[i]) * np.linalg.norm(Qs[j])
-        )
-        for i in range(kernel.p)
-        for j in range(kernel.p)
-        if i != j
-    )
     return DecompositionReport(
         p=kernel.p,
         ranks=ranks,
@@ -99,28 +106,28 @@ def analyze(kernel: SeparableKernel, rank_tol=RANK_TOL, input_dim=2,
         uncoupled=uncoupled,
         q_linearly_independent=q_indep,
         kernels_linearly_independent=k_indep,
-        orthogonal_products=ortho,
+        orthogonal_products=orthogonal_products(Qs),
     )
 
 
-def commuting_family_check(mats, tol=EIG_TOL):
-    """True iff every pair satisfies ||AB - BA||_F <= tol ||A|| ||B||."""
+def commuting_family_check(mats):
+    """True iff every pair satisfies ||AB - BA||_F <= EIG_TOL ||A|| ||B||."""
     mats = [symmetrize(A) for A in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             A, B = mats[i], mats[j]
             scale = max(1e-300, np.linalg.norm(A) * np.linalg.norm(B))
-            if np.linalg.norm(A @ B - B @ A) > tol * scale:
+            if np.linalg.norm(A @ B - B @ A) > EIG_TOL * scale:
                 return False
     return True
 
 
-def _cluster(values, tol):
-    """Group indices of a descending value sequence by gap <= tol."""
+def _cluster(values, max_gap):
+    """Group indices of a descending value sequence by gap <= max_gap."""
     groups = []
     cur = [0]
     for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= tol:
+        if abs(values[i] - values[i - 1]) <= max_gap:
             cur.append(i)
         else:
             groups.append(cur)
@@ -129,7 +136,7 @@ def _cluster(values, tol):
     return groups
 
 
-def simultaneous_diagonalize(mats, tol=EIG_TOL, seed=12345):
+def simultaneous_diagonalize(mats):
     """Orthogonal P with P^T A_j P diagonal for all commuting A_j.
 
     A random convex combination with generic fixed-seed weights splits
@@ -140,7 +147,7 @@ def simultaneous_diagonalize(mats, tol=EIG_TOL, seed=12345):
     if not mats:
         raise ValueError("need at least one matrix")
     m = mats[0].shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COMBINATION_SEED)
     w = rng.uniform(0.5, 1.5, len(mats))
     combo = sum(wi * A for wi, A in zip(w / w.sum(), mats))
     family = [combo] + mats
@@ -152,7 +159,7 @@ def simultaneous_diagonalize(mats, tol=EIG_TOL, seed=12345):
         scale = max(1.0, float(np.max(np.abs(A))))
         vals, U = sym_eig(A)
         cols = []
-        for grp in _cluster(vals, 10 * tol * scale):
+        for grp in _cluster(vals, 10 * EIG_TOL * scale):
             cols.append(refine(idx + 1, basis @ U[:, grp]))
         return np.column_stack(cols)
 
@@ -165,7 +172,7 @@ def simultaneous_diagonalize(mats, tol=EIG_TOL, seed=12345):
         r = np.linalg.norm(off) / max(1.0, np.linalg.norm(A))
         if worst is None or r > worst[1]:
             worst = (j, r)
-    if worst is not None and worst[1] > 100 * tol:
+    if worst is not None and worst[1] > 100 * EIG_TOL:
         raise NotCommutingError(
             f"family not simultaneously diagonalizable; worst off-diagonal "
             f"residual {worst[1]:.3e} on matrix {worst[0]}"
@@ -190,7 +197,7 @@ class RecoveredDecomposition:
         ]
 
 
-def recover_uncoupled(kernel, sample_pairs, prop_tol=PROP_TOL, tol=EIG_TOL):
+def recover_uncoupled(kernel, sample_pairs):
     """Recover the orthogonal decomposition of a value-commuting kernel.
 
     The sampled kernel values must be value-symmetric (k(x, y) = k(y, x))
@@ -202,11 +209,11 @@ def recover_uncoupled(kernel, sample_pairs, prop_tol=PROP_TOL, tol=EIG_TOL):
     values = [kernel(x, y) for x, y in sample_pairs]
     for (x, y), V in zip(sample_pairs, values):
         W = kernel(y, x)
-        if np.linalg.norm(V - W) > tol * max(1.0, np.linalg.norm(V)):
+        if np.linalg.norm(V - W) > EIG_TOL * max(1.0, np.linalg.norm(V)):
             raise ValueError("kernel is not value-symmetric on the samples")
-    if not commuting_family_check(values, tol):
+    if not commuting_family_check(values):
         raise NotCommutingError("sampled kernel values do not commute pairwise")
-    P = simultaneous_diagonalize(values, tol)
+    P = simultaneous_diagonalize(values)
     m = P.shape[0]
     # E[l, j]: j-th diagonal entry of P^T k(x_l, y_l) P
     E = np.array([np.diag(P.T @ V @ P) for V in values])
@@ -229,10 +236,10 @@ def recover_uncoupled(kernel, sample_pairs, prop_tol=PROP_TOL, tol=EIG_TOL):
             # subtraction (sqrt(1 - align^2) cannot resolve below sqrt(eps))
             perp = unit[:, j2] - (unit[:, j] @ unit[:, j2]) * unit[:, j]
             resid = float(np.linalg.norm(perp))
-            if resid <= prop_tol:
+            if resid <= PROP_TOL:
                 grp.append(j2)
                 assigned[j2] = len(groups)
-            elif resid <= 100 * prop_tol:
+            elif resid <= 100 * PROP_TOL:
                 raise AmbiguousGroupingError(
                     f"diagonal functions {j} and {j2} are borderline "
                     f"proportional (residual {resid:.3e})"
@@ -267,7 +274,7 @@ def _signatures(obj, sample_pairs):
     return [evals[:, i, None, None] * Q for i, (_, Q) in enumerate(obj.terms)]
 
 
-def decomposition_equivalent(a, b, sample_pairs, tol=1e-8):
+def decomposition_equivalent(a, b, sample_pairs):
     """Do two decompositions represent the same kernel on the samples?
 
     Returns True iff the summed kernel values agree on every sample pair.
@@ -278,10 +285,10 @@ def decomposition_equivalent(a, b, sample_pairs, tol=1e-8):
     Sa = sum(_signatures(a, sample_pairs))
     Sb = sum(_signatures(b, sample_pairs))
     scale = max(1.0, float(np.linalg.norm(Sa)))
-    return bool(np.linalg.norm(Sa - Sb) <= tol * scale)
+    return bool(np.linalg.norm(Sa - Sb) <= MATCH_TOL * scale)
 
 
-def match_terms(a, b, sample_pairs, tol=1e-8):
+def match_terms(a, b, sample_pairs):
     """Greedy bijection between term products k_i Q_i up to scaling.
 
     Returns the pairing as a list of (i, j) index pairs, or None if the
@@ -309,9 +316,9 @@ def match_terms(a, b, sample_pairs, tol=1e-8):
         ]
         order = np.argsort(dists)
         best = order[0]
-        if dists[best] > tol:
+        if dists[best] > MATCH_TOL:
             return None
-        if len(order) > 1 and abs(dists[order[1]] - dists[best]) <= tol:
+        if len(order) > 1 and abs(dists[order[1]] - dists[best]) <= MATCH_TOL:
             raise AmbiguousGroupingError(
                 f"term {i} matches two partners equally well"
             )

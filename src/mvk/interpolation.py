@@ -15,10 +15,13 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .kernels import PointSet, SeparableKernel, _as_point
-from .linalg import PSD_TOL, RANK_TOL, pinv_sym, rank_of, sym_eig
+from .linalg import PSD_TOL, pinv_sym, rank_of, sym_eig
 
 # Relative residual beyond which a Cholesky fit is flagged ill-conditioned.
 LIN_TOL = 1e-8
+# Relative slack below zero tolerated in residual_norm_sq, on the scale of
+# max(1, ||f||^2), before it raises.
+RESIDUAL_TOL = 1e-8
 
 
 class ConditioningError(RuntimeError):
@@ -55,7 +58,7 @@ class Interpolant:
         return self.coeffs.reshape(self.centers.n, self.kernel.m)
 
 
-def fit(kernel, X, values, rank_tol=RANK_TOL, lin_tol=LIN_TOL, fallback_to_pinv=False):
+def fit(kernel, X, values, fallback_to_pinv=False):
     """Fit the interpolant of ``values`` (an (n, m) array) on centers X.
 
     Strictly-pd kernels are solved by Cholesky; a factorization failure
@@ -91,15 +94,15 @@ def fit(kernel, X, values, rank_tol=RANK_TOL, lin_tol=LIN_TOL, fallback_to_pinv=
             alpha = np.linalg.solve(G, rhs)
             path, rank_used = "lu_fallback", G.shape[0]
     else:
-        alpha = pinv_sym(G, rank_tol) @ rhs
-        path, rank_used = "pseudo_inverse", rank_of(G, rank_tol)
+        alpha = pinv_sym(G) @ rhs
+        path, rank_used = "pseudo_inverse", rank_of(G)
 
     scale = max(np.linalg.norm(rhs), 1e-300)
     residual = float(np.linalg.norm(G @ alpha - rhs) / scale)
-    if path == "cholesky" and residual > lin_tol:
+    if path == "cholesky" and residual > LIN_TOL:
         warnings.warn(
             f"ill-conditioned interpolation system: relative residual "
-            f"{residual:.3e} exceeds {lin_tol:.1e}",
+            f"{residual:.3e} exceeds {LIN_TOL:.1e}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -123,7 +126,7 @@ class NativeSpanFunction:
         return self.kernel.apply(Xq, self.sites, self.weights)
 
 
-def native_norm_sq(f: NativeSpanFunction, psd_tol=PSD_TOL):
+def native_norm_sq(f: NativeSpanFunction):
     """Squared native-space norm, the Gram quadratic form of the weights."""
     if f.sites.n == 0:
         return 0.0
@@ -131,12 +134,12 @@ def native_norm_sq(f: NativeSpanFunction, psd_tol=PSD_TOL):
     G = f.kernel.gramian(f.sites)
     val = float(beta @ G @ beta)
     scale = max(1.0, float(np.abs(beta) @ np.abs(G) @ np.abs(beta)))
-    if val < -psd_tol * scale:
+    if val < -PSD_TOL * scale:
         raise RuntimeError(f"native norm came out negative ({val:.3e})")
     return max(val, 0.0)
 
 
-def residual_norm_sq(f: NativeSpanFunction, s: Interpolant, rel_tol=1e-8):
+def residual_norm_sq(f: NativeSpanFunction, s: Interpolant):
     """Squared native norm of f - s for s the interpolant of f on X.
 
     Because the interpolant is the orthogonal projection onto the span of
@@ -157,8 +160,10 @@ def residual_norm_sq(f: NativeSpanFunction, s: Interpolant, rel_tol=1e-8):
     Z = PointSet(pts)
     G = f.kernel.gramian(Z, check_distinct=False)
     val = float(gamma @ G @ gamma)
-    scale = max(1.0, native_norm_sq(f))
-    if val < -rel_tol * scale:
+    # ||f||^2 from the sites' leading block of the same Gramian
+    k = f.weights.size
+    scale = max(1.0, float(gamma[:k] @ G[:k, :k] @ gamma[:k]))
+    if val < -RESIDUAL_TOL * scale:
         raise RuntimeError(f"residual norm squared is negative ({val:.3e})")
     return max(val, 0.0)
 

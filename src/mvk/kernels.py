@@ -128,11 +128,11 @@ class PointSet:
         np.fill_diagonal(dist, np.inf)
         return float(dist.min())
 
-    def assert_distinct(self, dup_tol=DUP_TOL):
-        if self.min_separation() <= dup_tol:
+    def assert_distinct(self):
+        if self.min_separation() <= DUP_TOL:
             raise DuplicateCentersError(
                 f"points are not pairwise distinct (min separation "
-                f"{self.min_separation():.3e} <= {dup_tol:.1e})"
+                f"{self.min_separation():.3e} <= {DUP_TOL:.1e})"
             )
 
     def prefix(self, i) -> "PointSet":
@@ -158,7 +158,7 @@ class SeparableKernel:
     strictly_pd: bool = field(default=False)
 
     @classmethod
-    def create(cls, terms, psd_tol=PSD_TOL, unchecked=False):
+    def create(cls, terms, unchecked=False):
         """Build a kernel from (ScalarKernel, coefficient matrix) pairs.
 
         Coefficients are symmetrized and, unless ``unchecked``, validated
@@ -178,7 +178,7 @@ class SeparableKernel:
             elif Q.shape[0] != m:
                 raise ValueError("coefficient matrices have mismatched sizes")
             if not unchecked:
-                ok, lam = is_psd(Q, psd_tol)
+                ok, lam = is_psd(Q)
                 if not ok:
                     raise ValueError(
                         f"coefficient matrix is not PSD (lambda_min = {lam:.3e}); "
@@ -188,12 +188,12 @@ class SeparableKernel:
         if not norm_terms:
             raise ValueError("kernel needs at least one term")
         qsum = sum(Q for _, Q in norm_terms)
-        all_psd = all(is_psd(Q, psd_tol)[0] for _, Q in norm_terms)
-        _, lam_min = is_psd(qsum, psd_tol)
+        all_psd = all(is_psd(Q)[0] for _, Q in norm_terms)
+        _, lam_min = is_psd(qsum)
         spd = (
             all(ks.strictly_pd for ks, _ in norm_terms)
             and all_psd
-            and lam_min > psd_tol * max(1.0, float(np.linalg.norm(qsum, 2)))
+            and lam_min > PSD_TOL * max(1.0, float(np.linalg.norm(qsum, 2)))
         )
         return cls(m=m, terms=tuple(norm_terms), strictly_pd=spd)
 
@@ -309,9 +309,8 @@ class MatrixPowerKernel:
     def __call__(self, x, y):
         return np.linalg.matrix_power(self.base(x, y), self.power)
 
-    def gramian(self, X: PointSet, check_distinct=True):
-        if check_distinct:
-            X.assert_distinct()
+    def gramian(self, X: PointSet):
+        X.assert_distinct()
         n, m = X.n, self.m
         G = np.zeros((n * m, n * m))
         for i in range(n):

@@ -29,13 +29,13 @@ def symmetrize(A):
     return 0.5 * (A + A.T)
 
 
-def check_symmetric(A, sym_tol=SYM_TOL):
-    """True if max |A - A^T| <= sym_tol * (1 + max |A|)."""
+def check_symmetric(A):
+    """True if max |A - A^T| <= SYM_TOL * (1 + max |A|)."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
     scale = 1.0 + (np.max(np.abs(A)) if A.size else 0.0)
-    return np.max(np.abs(A - A.T)) <= sym_tol * scale if A.size else True
+    return np.max(np.abs(A - A.T)) <= SYM_TOL * scale if A.size else True
 
 
 def sym_eig(A):
@@ -74,23 +74,21 @@ def kron(A, B):
     return np.kron(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64))
 
 
-def rank_of(A, rank_tol=RANK_TOL):
-    """Numerical rank: count of |lambda_i| above the relative cutoff."""
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+def rank_of(A):
+    """Numerical rank: count of |lambda_i| above RANK_TOL * max|lambda|."""
     w, _ = sym_eig(A)
     aw = np.abs(w)
-    cutoff = rank_tol * max(aw.max(initial=0.0), ZERO_FLOOR)
+    cutoff = RANK_TOL * max(aw.max(initial=0.0), ZERO_FLOOR)
     return int(np.count_nonzero(aw > cutoff))
 
 
-def is_psd(A, psd_tol=PSD_TOL):
+def is_psd(A):
     """PSD test with reporting.
 
     Returns ``(flag, lam_min)`` where ``flag`` is True iff
-    ``lam_min >= -psd_tol * max(1, ||A||_2)``.
+    ``lam_min >= -PSD_TOL * max(1, ||A||_2)``.
     """
     w, _ = sym_eig(A)
     lam_min = float(w[-1]) if w.size else 0.0
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return lam_min >= -psd_tol * scale, lam_min
+    return lam_min >= -PSD_TOL * scale, lam_min

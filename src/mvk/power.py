@@ -11,7 +11,7 @@ D(x) = k(x, x) - k_N(x, x) also drives the pointwise error bounds in the
 2-, infinity- and 1-norm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,13 @@ class PowerEvaluator:
     kernel: SeparableKernel
     centers: PointSet
     gram_pinv: np.ndarray
-    rank_tol: float = field(default=RANK_TOL)
 
     @classmethod
     def build(cls, kernel, centers, rank_tol=RANK_TOL):
         if centers.n == 0:
-            return cls(kernel, centers, np.zeros((0, 0)), rank_tol)
+            return cls(kernel, centers, np.zeros((0, 0)))
         G = kernel.gramian(centers)
-        return cls(kernel, centers, pinv_sym(G, rank_tol), rank_tol)
+        return cls(kernel, centers, pinv_sym(G, rank_tol))
 
     def subspace_kernel(self, x, y):
         """k_N(x, y) = k(x, X) k(X, X)^+ k(X, y)."""
@@ -77,16 +76,16 @@ class PowerEvaluator:
         inf = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
         return {"two": two, "inf": inf, "one": np.sqrt(self.kernel.m) * two}
 
-    def power_sq(self, x, alpha, psd_tol=PSD_TOL):
+    def power_sq(self, x, alpha):
         """Squared power-function alpha^T D(x) alpha, clamped to [0, inf)."""
         alpha = np.asarray(alpha, dtype=np.float64)
         if np.linalg.norm(alpha) == 0:
             raise ValueError("direction must be nonzero")
         val = float(alpha @ self.deficiency(x) @ alpha)
         scale = max(1.0, float(alpha @ self.kernel(x, x) @ alpha))
-        if val < -psd_tol * scale:
+        if val < -PSD_TOL * scale:
             raise PowerBreakdownError(
-                f"power-function value {val:.3e} below -psd_tol * scale"
+                f"power-function value {val:.3e} below -PSD_TOL * scale"
             )
         return max(val, 0.0)
 
@@ -123,8 +122,7 @@ def scalar_power_sq(ks: ScalarKernel, X: PointSet, x):
     return max(val, 0.0)
 
 
-def power_additivity_check(kernel: SeparableKernel, X: PointSet, samples,
-                           rank_tol=RANK_TOL):
+def power_additivity_check(kernel: SeparableKernel, X: PointSet, samples):
     """Compare per-term order-1 power values against the full power.
 
     ``samples`` is a list of (x, alpha) pairs.  For each sample the sum of
@@ -135,27 +133,13 @@ def power_additivity_check(kernel: SeparableKernel, X: PointSet, samples,
     """
     if kernel.p < 2:
         raise ValueError("additivity check needs a decomposition with >= 2 terms")
-    pe = PowerEvaluator.build(kernel, X, rank_tol)
-    # per-term scalar Gramian pseudo-inverses, shared across samples
-    scalar_pinv = [
-        pinv_sym(ks.cross(X.points, X.points)) if X.n else None
-        for ks, _ in kernel.terms
-    ]
-
-    def scalar_part(i, x):
-        ks = kernel.terms[i][0]
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if X.n == 0:
-            return max(ks(x, x), 0.0)
-        row = ks.cross(x[None, :], X.points)[0]
-        return max(ks(x, x) - float(row @ scalar_pinv[i] @ row), 0.0)
-
+    pe = PowerEvaluator.build(kernel, X)
     reports = []
     for x, alpha in samples:
         alpha = np.asarray(alpha, dtype=np.float64)
         parts = [
-            scalar_part(i, x) * float(alpha @ Q @ alpha)
-            for i, (_, Q) in enumerate(kernel.terms)
+            scalar_power_sq(ks, X, x) * float(alpha @ Q @ alpha)
+            for ks, Q in kernel.terms
         ]
         whole = pe.power_sq(x, alpha)
         total = float(sum(parts))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decomposition import orthogonal_products
 from .interpolation import ConditioningError, fit
 from .kernels import PointSet, ScalarKernel, SeparableKernel
 from .linalg import EIG_TOL, sym_eig
@@ -102,12 +103,8 @@ def _orthogonal_directions(template: KernelTemplate):
     """
     Qs = [np.asarray(Q, float) for Q in template.coeffs]
     m = Qs[0].shape[0]
-    for i in range(len(Qs)):
-        for j in range(len(Qs)):
-            if i != j and np.linalg.norm(Qs[i] @ Qs[j]) > EIG_TOL * max(
-                1.0, np.linalg.norm(Qs[i]) * np.linalg.norm(Qs[j])
-            ):
-                return None
+    if not orthogonal_products(Qs):
+        return None
     dirs = []
     for Q, g in zip(Qs, template.groups):
         w, V = sym_eig(Q)
@@ -170,10 +167,10 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig,
     idx = np.unravel_index(best, errors.shape)
     shapes = {g: float(grid[i]) for g, i in zip(group_ids, idx)}
 
-    table = np.empty((len(flat), len(group_ids) + 1))
-    for c, combo in enumerate(itertools.product(range(len(grid)), repeat=len(group_ids))):
-        table[c, :-1] = [grid[i] for i in combo]
-        table[c, -1] = flat[c]
+    # row c holds the grid values of the c-th combination in C order,
+    # which is itertools.product order
+    combos = np.indices(errors.shape).reshape(errors.ndim, -1).T
+    table = np.column_stack([grid[combos], flat])
     return GridSearchResult(
         shapes=shapes,
         error=float(flat[best]),

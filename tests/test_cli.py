@@ -103,6 +103,11 @@ def test_example2_outputs(tmp_path):
             err, d1, d2 = (float(v) for v in r[1:])
             assert err <= d1 * (1 + 1e-9)
             assert d1 <= d2 * (1 + 1e-9)
+    # the header records the pseudo-inverse cutoff example2 runs with
+    for name in ("bounds_two_norm", "bounds_inf_norm", "bounds_one_norm", "residual"):
+        assert read_header(out / f"{name}.csv")[4] == (
+            "# tolerances: rank_tol=1e-08 psd_tol=1e-10 lin_tol=1e-08"
+        )
     header, rows = read_csv(out / "residual.csv")
     assert header == ["i", "residual_norm", "f_norm"]
     r_norms = [float(r[1]) for r in rows]

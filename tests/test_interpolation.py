@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvk import interpolation
 from mvk.interpolation import (
     ConditioningError,
     KernelMismatchError,
@@ -127,6 +128,32 @@ def test_residual_norm_pythagoras():
     s2 = float(s.coeffs @ k.gramian(X) @ s.coeffs)
     assert r2 == pytest.approx(native_norm_sq(f) - s2, rel=1e-8)
     assert r2 >= 0.0
+
+
+def test_residual_norm_builds_one_gramian(monkeypatch):
+    # the scale ||f||^2 comes from the union Gramian, not a second build
+    k = gaussian_kernel()
+    sites = PointSet(np.array([[0.0], [0.6], [-0.4]]))
+    rng = np.random.default_rng(5)
+    f = NativeSpanFunction(k, sites, rng.standard_normal((3, 2)))
+    X = PointSet(np.array([[-0.5], [0.5]]))
+    s = fit(k, X, np.stack([f(x) for x in X.points]))
+    expected = residual_norm_sq(f, s)
+
+    calls = []
+    gramian = SeparableKernel.gramian
+
+    def counting_gramian(self, *args, **kwargs):
+        calls.append(1)
+        return gramian(self, *args, **kwargs)
+
+    def no_native_norm(_):
+        raise AssertionError("native_norm_sq must not be called")
+
+    monkeypatch.setattr(SeparableKernel, "gramian", counting_gramian)
+    monkeypatch.setattr(interpolation, "native_norm_sq", no_native_norm)
+    assert residual_norm_sq(f, s) == expected
+    assert len(calls) == 1
 
 
 def test_residual_norm_zero_when_centers_contain_sites():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,17 @@ def test_select_shapes_agrees_across_paths():
     assert row[-1] == pytest.approx(fast.error)
     assert row[0] == pytest.approx(fast.shapes[0])
     assert row[1] == pytest.approx(fast.shapes[1])
+    # rows follow itertools.product order over the grid indices
+    grid = cfg.grid()
+    errs = _decoupled_errors(
+        _orthogonal_directions(diagonal_template()), [0, 1], grid, cfg,
+        target(cfg.centers.points), target(cfg.validation.points),
+    )
+    expected = [
+        [grid[i], grid[j], errs[i, j]]
+        for i, j in itertools.product(range(len(grid)), repeat=2)
+    ]
+    assert np.array_equal(fast.table, expected, equal_nan=True)
 
 
 def test_select_shapes_deterministic():
