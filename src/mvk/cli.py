@@ -405,12 +405,11 @@ def cmd_eval(args):
     if args.bounds:
         pe = PowerEvaluator.build(s.kernel, s.centers)
         factors = pe.bound_factors(X)
-        r = args.residual_norm if args.residual_norm is not None else (
-            args.f_norm if args.f_norm is not None else 1.0
-        )
         columns += ["delta1_two", "delta1_inf", "delta1_one"]
         for i in range(len(X)):
-            rows[i] += [float(factors[k][i] * r) for k in ("two", "inf", "one")]
+            rows[i] += [
+                float(factors[k][i] * args.residual_norm) for k in ("two", "inf", "one")
+            ]
     _write_csv(args.out_csv, "eval", eff, columns, rows)
     print(f"eval: wrote {args.out_csv}")
     return 0
@@ -468,10 +467,8 @@ def build_parser():
     sp.add_argument("--out-csv", required=True)
     sp.add_argument("--bounds", action="store_true",
                     help="add the three per-point bound columns")
-    sp.add_argument("--residual-norm", type=float, default=None,
+    sp.add_argument("--residual-norm", type=float, default=1.0,
                     help="native norm of f - s used in the bound columns")
-    sp.add_argument("--f-norm", type=float, default=None,
-                    help="fallback norm for the bound columns")
     sp.set_defaults(func=cmd_eval)
     return p
 

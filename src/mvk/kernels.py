@@ -168,6 +168,7 @@ class SeparableKernel:
         """
         norm_terms = []
         m = None
+        all_psd = True
         for ks, Q in terms:
             Q = np.asarray(Q, dtype=np.float64)
             if not check_symmetric(Q):
@@ -177,18 +178,17 @@ class SeparableKernel:
                 m = Q.shape[0]
             elif Q.shape[0] != m:
                 raise ValueError("coefficient matrices have mismatched sizes")
-            if not unchecked:
-                ok, lam = is_psd(Q)
-                if not ok:
-                    raise ValueError(
-                        f"coefficient matrix is not PSD (lambda_min = {lam:.3e}); "
-                        "use unchecked=True for indefinite coefficients"
-                    )
+            ok, lam = is_psd(Q)
+            if not (ok or unchecked):
+                raise ValueError(
+                    f"coefficient matrix is not PSD (lambda_min = {lam:.3e}); "
+                    "use unchecked=True for indefinite coefficients"
+                )
+            all_psd = all_psd and ok
             norm_terms.append((ks, Q))
         if not norm_terms:
             raise ValueError("kernel needs at least one term")
         qsum = sum(Q for _, Q in norm_terms)
-        all_psd = all(is_psd(Q)[0] for _, Q in norm_terms)
         _, lam_min = is_psd(qsum)
         spd = (
             all(ks.strictly_pd for ks, _ in norm_terms)

@@ -5,17 +5,15 @@ groups.  The objective is the maximum Euclidean interpolation error over a
 validation point set; the argmin is taken in grid order with first-found
 tie breaking.
 
-For kernels whose coefficient matrices have pairwise orthogonal products,
-the interpolation problem decouples exactly into scalar problems along the
-joint eigendirections of the coefficients.  The search exploits this: the
-per-direction residuals are precomputed once per grid value and joint
-candidates are scored by broadcasting.  In exact arithmetic this equals
-fitting every candidate from scratch; in floating point the two paths
-differ.  The decoupled path solves each scalar Gramian by LU and scores
-every candidate, however ill-conditioned, while the generic path fits
-through Cholesky and marks a candidate as failed when the factorization
-breaks down.  On example1's k3 (2,500 candidates) the generic path marks
-1,905 candidates as failed and the decoupled path none.
+Every candidate is scored by fitting it with :func:`fit` (Cholesky, with
+the LU fallback for Gramians that fail to factor); a candidate whose fit
+raises counts as failed.  When the coefficient matrices have pairwise
+orthogonal products and their ranks add up to m, interpolation splits
+exactly into one independent problem per term, on the range of that
+term's coefficient.  Each term is then fitted once per grid value of its
+own group, and the squared validation residuals of the terms are summed
+by broadcasting to score every joint candidate.  Any other template is
+one block whose candidates are all fitted in full.
 
 Candidates whose errors differ only at roundoff level are ordered by that
 roundoff, so on a plateau of the objective the first-found argmin can
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import orthogonal_products
-from .interpolation import ConditioningError, fit
+from .interpolation import fit
 from .kernels import PointSet, ScalarKernel, SeparableKernel
 from .linalg import EIG_TOL, sym_eig
 
@@ -95,47 +93,7 @@ class GridSearchResult:
     table: np.ndarray = field(repr=False)  # (n_candidates, n_groups + 1)
 
 
-def _orthogonal_directions(template: KernelTemplate):
-    """Joint eigendirections if coefficient products are pairwise zero.
-
-    Returns a list of (unit direction, group id) or None when the fast
-    decoupled path does not apply.
-    """
-    Qs = [np.asarray(Q, float) for Q in template.coeffs]
-    m = Qs[0].shape[0]
-    if not orthogonal_products(Qs):
-        return None
-    dirs = []
-    for Q, g in zip(Qs, template.groups):
-        w, V = sym_eig(Q)
-        for lam, v in zip(w, V.T):
-            if lam > EIG_TOL * max(1.0, abs(w[0])):
-                dirs.append((v, g))
-    if len(dirs) != m:
-        return None  # coefficient sum is rank deficient; no exact decoupling
-    return dirs
-
-
-def _scalar_residuals(grid, X, Xv, g, gv):
-    """Validation residuals of scalar Gaussian interpolation per grid value.
-
-    Returns an array of shape (len(grid), len(Xv)); rows of failed fits
-    are NaN.
-    """
-    out = np.full((len(grid), len(gv)), np.nan)
-    for j, eps in enumerate(grid):
-        ks = ScalarKernel.gaussian(eps)
-        K = ks.cross(X, X)
-        try:
-            a = np.linalg.solve(K, g)
-        except np.linalg.LinAlgError:
-            continue
-        out[j] = ks.cross(Xv, X) @ a - gv
-    return out
-
-
-def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig,
-                  max_candidates=MAX_CANDIDATES):
+def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig):
     """Exhaustive grid search minimizing the max validation error.
 
     ``target`` is a callable mapping a (n, d) point array to (n, m)
@@ -146,18 +104,21 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig,
     cfg.centers.assert_distinct()
     group_ids = sorted(set(template.groups))
     n_cand = len(grid) ** len(group_ids)
-    if n_cand > max_candidates:
+    if n_cand > MAX_CANDIDATES:
         raise GridSearchError(
-            f"grid has {n_cand} candidates, above the cap {max_candidates}"
+            f"grid has {n_cand} candidates, above the cap {MAX_CANDIDATES}"
         )
     fc = np.asarray(target(cfg.centers.points), dtype=np.float64)
     fv = np.asarray(target(cfg.validation.points), dtype=np.float64)
 
-    dirs = _orthogonal_directions(template)
-    if dirs is not None:
-        errors = _decoupled_errors(dirs, group_ids, grid, cfg, fc, fv)
-    else:
-        errors = _bruteforce_errors(template, group_ids, grid, cfg, fc, fv)
+    # the squared residuals of independent blocks add; each block's array
+    # is broadcast along the groups it does not depend on
+    total = np.zeros((len(grid),) * len(group_ids) + (cfg.validation.n,))
+    for block, U in _blocks(template):
+        ids, sq = _block_sq_residuals(block, grid, cfg, fc @ U, fv @ U)
+        axes = [len(grid) if g in ids else 1 for g in group_ids]
+        total += sq.reshape(axes + [cfg.validation.n])
+    errors = np.sqrt(np.max(total, axis=-1))
 
     flat = errors.reshape(-1)
     n_failed = int(np.count_nonzero(~np.isfinite(flat)))
@@ -181,41 +142,49 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig,
     )
 
 
-def _decoupled_errors(dirs, group_ids, grid, cfg, fc, fv):
-    """Joint objective via per-direction scalar residual broadcasting."""
-    X, Xv = cfg.centers.points, cfg.validation.points
-    res = []
-    for v, g in dirs:
-        R = _scalar_residuals(grid, X, Xv, fc @ v, fv @ v)
-        res.append((R, group_ids.index(g)))
-    shape = [len(grid)] * len(group_ids)
-    total = np.zeros(shape + [len(Xv)])
-    for R, axis in res:
-        expand = [None] * len(group_ids) + [slice(None)]
-        expand[axis] = slice(None)
-        total = total + (R**2)[tuple(expand)]
-    return np.sqrt(np.max(total, axis=-1))
+def _blocks(template: KernelTemplate):
+    """Split the template into independent interpolation problems.
+
+    Returns a list of (sub-template, U): each block fits the targets
+    projected onto the orthonormal columns of U.  When the coefficients
+    have pairwise orthogonal products and their ranks add up to m, every
+    term is its own block, with its coefficient restricted to its range U
+    (so ``U^T Q U`` is the diagonal of its nonzero eigenvalues).  Otherwise
+    the whole template is one block with U = I.
+    """
+    Qs = [np.asarray(Q, float) for Q in template.coeffs]
+    m = Qs[0].shape[0]
+    if orthogonal_products(Qs):
+        blocks = []
+        for Q, g in zip(Qs, template.groups):
+            w, V = sym_eig(Q)
+            keep = w > EIG_TOL * max(1.0, abs(w[0]))
+            blocks.append((KernelTemplate((np.diag(w[keep]),), (g,)), V[:, keep]))
+        if sum(U.shape[1] for _, U in blocks) == m:
+            return blocks
+    return [(template, np.eye(m))]
 
 
-def _bruteforce_errors(template, group_ids, grid, cfg, fc, fv):
-    """Fit every candidate kernel directly (generic slow path)."""
-    shape = [len(grid)] * len(group_ids)
-    errors = np.full(shape, np.nan)
-    n_total = int(np.prod(shape))
-    for c, combo in enumerate(itertools.product(range(len(grid)), repeat=len(group_ids))):
-        shapes = {g: grid[i] for g, i in zip(group_ids, combo)}
+def _block_sq_residuals(template, grid, cfg, fc, fv):
+    """Squared validation residuals of every candidate of one block.
+
+    Returns the block's sorted group ids and an array of shape
+    ``(len(grid),) * n_groups + (n_validation,)`` in grid-index order;
+    entries of failed fits are NaN.
+    """
+    ids = sorted(set(template.groups))
+    out = np.full((len(grid),) * len(ids) + (cfg.validation.n,), np.nan)
+    n_cand = len(grid) ** len(ids)
+    for c, combo in enumerate(itertools.product(range(len(grid)), repeat=len(ids))):
+        kernel = template.instantiate({g: grid[i] for g, i in zip(ids, combo)})
         try:
-            kernel = template.instantiate(shapes)
-            s = fit(kernel, cfg.centers, fc)
-        except (ConditioningError, np.linalg.LinAlgError):
+            s = fit(kernel, cfg.centers, fc, fallback_to_pinv=True)
+        except np.linalg.LinAlgError:
             continue
-        pred = s.evaluate_many(cfg.validation.points)
-        errors[np.unravel_index(c, shape)] = np.max(
-            np.linalg.norm(pred - fv, axis=1)
-        )
+        out[combo] = np.sum((s.evaluate_many(cfg.validation.points) - fv) ** 2, axis=1)
         if (c + 1) % 500 == 0:
-            log.info("grid search: %d/%d candidates", c + 1, n_total)
-    return errors
+            log.info("grid search: %d/%d candidates of a block", c + 1, n_cand)
+    return ids, out
 
 
 def covariance_eigenbasis(samples):

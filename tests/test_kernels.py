@@ -8,7 +8,8 @@ from mvk.kernels import (
     ScalarKernel,
     SeparableKernel,
 )
-from mvk.linalg import kron
+from mvk import linalg
+from mvk.linalg import kron, sym_eig
 
 
 def test_scalar_kernel_validation():
@@ -116,6 +117,25 @@ def test_strictly_pd_flag():
     # polynomial scalar factor is not strictly pd
     k = SeparableKernel.create([(ScalarKernel.polynomial(2), np.eye(2))])
     assert not k.strictly_pd
+
+
+def test_create_decomposes_each_coefficient_once(monkeypatch):
+    calls = []
+
+    def counting_sym_eig(A):
+        calls.append(np.shape(A))
+        return sym_eig(A)
+
+    monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
+    k = SeparableKernel.create(
+        [
+            (ScalarKernel.gaussian(1.0), np.diag([1.0, 0.0])),
+            (ScalarKernel.gaussian(2.0), np.diag([0.0, 1.0])),
+        ]
+    )
+    assert k.strictly_pd
+    # one eigendecomposition per coefficient and one for their sum
+    assert calls == [(2, 2)] * 3
 
 
 def test_kernel_value_and_symmetry():

@@ -1,14 +1,17 @@
-"""Tolerances are module constants, not parameters.
+"""Tolerances are module constants, not parameters, and the names the
+benchmark looks up in mvk exist.
 
 Only the pseudo-inverse cutoff is a parameter, because its callers need
 different values (example2 runs with 1e-8, ``eval --bounds`` with the
 1e-10 default).
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import mvk
 
@@ -47,3 +50,36 @@ def test_no_tolerance_parameters():
     assert ALLOWED_TOL_PARAMETERS <= names
     tols = {n for n in names if n.endswith("tol")}
     assert tols == ALLOWED_TOL_PARAMETERS
+
+
+def _layer_callables():
+    """``LAYER_CALLABLES`` of perfbench/run.py, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "LAYER_CALLABLES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no LAYER_CALLABLES")
+
+
+def _resolve(dotted):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"mvk.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark traces mvk callables by name; each name must exist."""
+    names = _layer_callables()
+    assert names
+    for name in names:
+        assert callable(_resolve(name)), name
+    # names imported from another module; the tracer must rebind each copy
+    assert _resolve("cli.fit") is _resolve("tuning.fit") is _resolve("interpolation.fit")
+    assert _resolve("power.pinv_sym") is _resolve("interpolation.pinv_sym") is _resolve(
+        "linalg.pinv_sym"
+    )
+    assert callable(_resolve("backends.backend_name"))

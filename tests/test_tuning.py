@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from mvk import tuning
+from mvk.interpolation import fit
 from mvk.kernels import PointSet
 from mvk.tuning import (
     GridSearchConfig,
     GridSearchError,
     KernelTemplate,
-    _bruteforce_errors,
-    _decoupled_errors,
-    _orthogonal_directions,
+    _blocks,
     covariance_eigenbasis,
     select_shapes,
 )
@@ -65,55 +65,69 @@ def test_template_validation_and_instantiate():
     assert all(ks.shape == 1.5 for ks in k.scalar_kernels())
 
 
-def test_orthogonal_directions_detection():
-    dirs = _orthogonal_directions(diagonal_template())
-    assert dirs is not None and len(dirs) == 2
-    assert _orthogonal_directions(coupled_template()) is None
-    # rank-deficient coefficient sum: no exact decoupling
-    tpl = KernelTemplate(coeffs=(np.diag([1.0, 0.0]),), groups=(0,))
-    assert _orthogonal_directions(tpl) is None
-
-
-def test_decoupled_path_matches_bruteforce():
-    cfg = make_cfg(grid_size=5)
-    tpl = diagonal_template()
+def reference_table(template, cfg):
+    """Fit every candidate's full kernel; rows in itertools.product order."""
     grid = cfg.grid()
+    groups = sorted(set(template.groups))
     fc = target(cfg.centers.points)
     fv = target(cfg.validation.points)
-    dirs = _orthogonal_directions(tpl)
-    fast = _decoupled_errors(dirs, [0, 1], grid, cfg, fc, fv)
-    slow = _bruteforce_errors(tpl, [0, 1], grid, cfg, fc, fv)
-    # entries with tiny errors sit on ill-conditioned Gramians, where the
-    # scalar and block solvers round differently; tolerance reflects that
-    assert np.allclose(fast, slow, rtol=2e-3, atol=1e-10)
-    assert np.unravel_index(np.argmin(fast), fast.shape) == np.unravel_index(
-        np.argmin(slow), slow.shape
-    )
+    rows = []
+    for combo in itertools.product(grid, repeat=len(groups)):
+        kernel = template.instantiate(dict(zip(groups, combo)))
+        try:
+            s = fit(kernel, cfg.centers, fc, fallback_to_pinv=True)
+        except np.linalg.LinAlgError:
+            rows.append([*combo, np.nan])
+            continue
+        err = np.max(np.linalg.norm(s.evaluate_many(cfg.validation.points) - fv, axis=1))
+        rows.append([*combo, err])
+    return np.array(rows)
 
 
-def test_select_shapes_agrees_across_paths():
+def test_block_detection():
+    blocks = _blocks(diagonal_template())
+    assert [b.groups for b, _ in blocks] == [(0,), (1,)]
+    assert [U.shape for _, U in blocks] == [(2, 1), (2, 1)]
+    tpl = coupled_template()
+    (b, U), = _blocks(tpl)
+    assert b is tpl and np.array_equal(U, np.eye(2))
+    # rank-deficient coefficient sum: no exact split, one block
+    tpl = KernelTemplate(coeffs=(np.diag([1.0, 0.0]),), groups=(0,))
+    (b, U), = _blocks(tpl)
+    assert b is tpl and np.array_equal(U, np.eye(2))
+
+
+def test_coupled_table_equals_reference():
     cfg = make_cfg(grid_size=5)
-    fast = select_shapes(diagonal_template(), target, cfg)
-    slow = select_shapes(coupled_template(), target, cfg)
-    assert fast.n_candidates == 25 == slow.n_candidates
-    assert fast.table.shape == (25, 3)
-    assert set(fast.shapes) == {0, 1}
+    res = select_shapes(coupled_template(), target, cfg)
+    assert np.array_equal(res.table, reference_table(coupled_template(), cfg),
+                          equal_nan=True)
+
+
+def test_split_table_matches_reference():
+    cfg = make_cfg(grid_size=5)
+    res = select_shapes(diagonal_template(), target, cfg)
+    ref = reference_table(diagonal_template(), cfg)
+    # grid values and their product order are exact
+    assert np.array_equal(res.table[:, :2], ref[:, :2])
+    # entries with tiny errors sit on ill-conditioned Gramians, where the
+    # per-term and full-kernel fits round differently
+    assert np.allclose(res.table[:, 2], ref[:, 2], rtol=2e-3, atol=1e-10)
+    assert res.candidate_index == np.nanargmin(ref[:, 2])
+
+
+def test_select_shapes_result_fields():
+    cfg = make_cfg(grid_size=5)
+    res = select_shapes(diagonal_template(), target, cfg)
+    assert res.n_candidates == 25 and res.table.shape == (25, 3)
+    assert set(res.shapes) == {0, 1}
     # the argmin row of the table is the reported selection
-    row = fast.table[fast.candidate_index]
-    assert row[-1] == pytest.approx(fast.error)
-    assert row[0] == pytest.approx(fast.shapes[0])
-    assert row[1] == pytest.approx(fast.shapes[1])
-    # rows follow itertools.product order over the grid indices
+    row = res.table[res.candidate_index]
+    assert row[-1] == res.error
+    assert row[0] == res.shapes[0] and row[1] == res.shapes[1]
+    # rows follow itertools.product order over the grid
     grid = cfg.grid()
-    errs = _decoupled_errors(
-        _orthogonal_directions(diagonal_template()), [0, 1], grid, cfg,
-        target(cfg.centers.points), target(cfg.validation.points),
-    )
-    expected = [
-        [grid[i], grid[j], errs[i, j]]
-        for i, j in itertools.product(range(len(grid)), repeat=2)
-    ]
-    assert np.array_equal(fast.table, expected, equal_nan=True)
+    assert np.array_equal(res.table[:, :2], list(itertools.product(grid, repeat=2)))
 
 
 def test_select_shapes_deterministic():
@@ -124,10 +138,11 @@ def test_select_shapes_deterministic():
     assert np.array_equal(a.table, b.table)
 
 
-def test_select_shapes_candidate_cap():
+def test_select_shapes_candidate_cap(monkeypatch):
     cfg = make_cfg(grid_size=6)
+    monkeypatch.setattr(tuning, "MAX_CANDIDATES", 10)
     with pytest.raises(GridSearchError):
-        select_shapes(diagonal_template(), target, cfg, max_candidates=10)
+        select_shapes(diagonal_template(), target, cfg)
 
 
 def test_tied_groups_share_shape():
