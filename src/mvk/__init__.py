@@ -23,7 +23,8 @@ from .decomposition import (
     recover_uncoupled,
     simultaneous_diagonalize,
 )
-from .tuning import GridSearchConfig, KernelTemplate, covariance_eigenbasis, select_shapes
+from .tuning import GridSearchConfig, KernelTemplate, select_shapes
+from .builtin import covariance_eigenbasis
 
 __all__ = [
     "PointSet",

@@ -15,7 +15,8 @@ positive definiteness.
 import numpy as np
 
 from .kernels import PointSet, ScalarKernel, SeparableKernel
-from .tuning import GridSearchConfig, KernelTemplate, covariance_eigenbasis, select_shapes
+from .linalg import sym_eig
+from .tuning import GridSearchConfig, KernelTemplate, select_shapes
 
 EXAMPLE1_DOMAIN = (-2.0, 2.0)
 EXAMPLE2_DOMAIN = (-1.0, 1.0)
@@ -61,6 +62,21 @@ def example1_centers(N) -> PointSet:
     if N == 1:
         return PointSet(np.array([[0.0]]))
     return PointSet(np.linspace(-2.0, 2.0, N)[:, None])
+
+
+def covariance_eigenbasis(samples):
+    """Mean, ascending eigenvalues and eigenvectors of the sample covariance.
+
+    Uses the unbiased divisor (count - 1).
+    """
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    if samples.shape[0] < 2:
+        raise ValueError("need at least 2 samples")
+    mu = samples.mean(axis=0)
+    centered = samples - mu
+    C = centered.T @ centered / (samples.shape[0] - 1)
+    w, V = sym_eig(C)
+    return mu, w[::-1].copy(), V[:, ::-1].copy()
 
 
 def example1_covariance_directions(seed):

@@ -36,7 +36,7 @@ from .interpolation import (
 )
 from .decomposition import NotCommutingError, analyze, commuting_family_check, recover_uncoupled
 from .kernels import PointSet, SeparableKernel
-from .linalg import PSD_TOL, RANK_TOL, is_psd, sym_eig
+from .linalg import PSD_TOL, RANK_TOL, is_psd, sym_eig, symmetrize
 from .interpolation import LIN_TOL
 from .power import PowerEvaluator
 
@@ -275,7 +275,10 @@ def counterexample_report():
     X = PointSet(np.array([[0.0], [1.0]]))
     base = kernel.gramian(X)
     _, lam_base = is_psd(base)
-    squared = kernel.hadamard_power(2).gramian(X)
+    # blocks[i, j] = k(x_i, x_j); square each block as a matrix
+    n, m = X.n, kernel.m
+    blocks = base.reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    squared = symmetrize((blocks @ blocks).transpose(0, 2, 1, 3).reshape(n * m, n * m))
     w, _ = sym_eig(squared)
     return {
         "base_lam_min": lam_base,

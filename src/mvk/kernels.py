@@ -7,16 +7,17 @@ A separable matrix-valued kernel is a finite sum
 with scalar kernels ``k_i`` and symmetric m x m coefficient matrices
 ``Q_i``.  Its block kernel matrices have the Kronecker structure
 ``sum_i k_i(X, Y) (x) Q_i``, and every evaluation here works from the
-per-term scalar matrices ``k_i(X, Y)``: the Gramian and the dense cross
-blocks are assembled from them, and interpolants are evaluated term by
-term without forming the block matrix at all.
+per-term scalar matrices ``k_i(X, Y)``: the Gramian and the batched cross
+blocks come from one block assembly (``SeparableKernel._blocks``), and
+interpolants are evaluated term by term without forming the block matrix
+at all.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backends
+from . import backends, linalg
 from .linalg import PSD_TOL, check_symmetric, is_psd, symmetrize
 
 # Minimal pairwise distance for interpolation centers, in the input scale.
@@ -188,12 +189,13 @@ class SeparableKernel:
             norm_terms.append((ks, Q))
         if not norm_terms:
             raise ValueError("kernel needs at least one term")
-        qsum = sum(Q for _, Q in norm_terms)
-        _, lam_min = is_psd(qsum)
+        # The spectral norm of the symmetric sum is its largest eigenvalue
+        # magnitude, so one eigendecomposition gives lambda_min and the norm.
+        w, _ = linalg.sym_eig(sum(Q for _, Q in norm_terms))
         spd = (
             all(ks.strictly_pd for ks, _ in norm_terms)
             and all_psd
-            and lam_min > PSD_TOL * max(1.0, float(np.linalg.norm(qsum, 2)))
+            and float(w[-1]) > PSD_TOL * max(1.0, float(np.max(np.abs(w))))
         )
         return cls(m=m, terms=tuple(norm_terms), strictly_pd=spd)
 
@@ -234,18 +236,10 @@ class SeparableKernel:
         nm = X.n * self.m
         return symmetrize(self._blocks(X.points, X.points).reshape(nm, nm))
 
-    def cross(self, x, X: PointSet):
-        """Row of blocks [k(x, x_1) ... k(x, x_n)], shape (m, m n)."""
-        x = _as_point(x, X.d) if X.n else np.atleast_1d(np.asarray(x, float))
-        return self.cross_many(x[None, :], X)[0]
-
     def cross_many(self, Xq, X: PointSet):
         """Cross blocks for a batch of query points, shape (q, m, m n)."""
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        q = Xq.shape[0]
-        if X.n == 0:
-            return np.zeros((q, self.m, 0))
-        return self._blocks(Xq, X.points).reshape(q, self.m, X.n * self.m)
+        return self._blocks(Xq, X.points).reshape(len(Xq), self.m, X.n * self.m)
 
     def apply(self, Xq, X: PointSet, A):
         """sum_j k(x, x_j) a_j at each row x of Xq, shape (q, m).
@@ -263,17 +257,8 @@ class SeparableKernel:
             out += ks.cross(Xq, X.points) @ (A @ Q)
         return out
 
-    def hadamard_power(self, n: int) -> "MatrixPowerKernel":
-        """Pointwise matrix power k(x, y)^n as an evaluable kernel."""
-        if n < 0:
-            raise ValueError("power must be nonnegative")
-        return MatrixPowerKernel(base=self, power=int(n))
-
     def coefficients(self):
         return [Q for _, Q in self.terms]
-
-    def scalar_kernels(self):
-        return [ks for ks, _ in self.terms]
 
     def to_dict(self):
         return {
@@ -293,29 +278,3 @@ class SeparableKernel:
             Q = np.asarray(t["coeff"], dtype=np.float64).reshape(m, m)
             terms.append((ks, Q))
         return cls.create(terms, unchecked=unchecked)
-
-
-@dataclass(frozen=True)
-class MatrixPowerKernel:
-    """Pointwise matrix power of a separable kernel's values."""
-
-    base: SeparableKernel
-    power: int
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    def __call__(self, x, y):
-        return np.linalg.matrix_power(self.base(x, y), self.power)
-
-    def gramian(self, X: PointSet):
-        X.assert_distinct()
-        n, m = X.n, self.m
-        G = np.zeros((n * m, n * m))
-        for i in range(n):
-            for j in range(i, n):
-                B = self(X.points[i], X.points[j])
-                G[i * m : (i + 1) * m, j * m : (j + 1) * m] = B
-                G[j * m : (j + 1) * m, i * m : (i + 1) * m] = B.T
-        return symmetrize(G)

@@ -69,11 +69,6 @@ def pinv_sym(A, rank_tol=RANK_TOL):
     return symmetrize((V * inv) @ V.T)
 
 
-def kron(A, B):
-    """Kronecker product with the standard block layout."""
-    return np.kron(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64))
-
-
 def rank_of(A):
     """Numerical rank: count of |lambda_i| above RANK_TOL * max|lambda|."""
     w, _ = sym_eig(A)

@@ -1,4 +1,4 @@
-"""Subspace kernels, the directional power-function and a-priori bounds.
+"""The directional power-function and a-priori bounds.
 
 With X a set of centers, the reproducing kernel of the span of kernel
 translates is
@@ -9,6 +9,10 @@ and the squared directional power-function at x in direction alpha is
 alpha^T (k(x, x) - k_N(x, x)) alpha.  The deficiency matrix
 D(x) = k(x, x) - k_N(x, x) also drives the pointwise error bounds in the
 2-, infinity- and 1-norm.
+
+``PowerEvaluator.deficiency_many`` is the one routine that computes D(x);
+the power-function, the bound factors, the error bounds and the scalar
+power-function (the m = 1 kernel ``k_s * [[1]]``) all read it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import PointSet, ScalarKernel, SeparableKernel
-from .linalg import PSD_TOL, RANK_TOL, pinv_sym, symmetrize
+from .linalg import PSD_TOL, RANK_TOL, pinv_sym
 
 
 class PowerBreakdownError(RuntimeError):
@@ -33,22 +37,8 @@ class PowerEvaluator:
 
     @classmethod
     def build(cls, kernel, centers, rank_tol=RANK_TOL):
-        if centers.n == 0:
-            return cls(kernel, centers, np.zeros((0, 0)))
         G = kernel.gramian(centers)
         return cls(kernel, centers, pinv_sym(G, rank_tol))
-
-    def subspace_kernel(self, x, y):
-        """k_N(x, y) = k(x, X) k(X, X)^+ k(X, y)."""
-        if self.centers.n == 0:
-            return np.zeros((self.kernel.m, self.kernel.m))
-        cx = self.kernel.cross(x, self.centers)
-        cy = self.kernel.cross(y, self.centers)
-        return cx @ self.gram_pinv @ cy.T
-
-    def deficiency(self, x):
-        """D(x) = k(x, x) - k_N(x, x), explicitly symmetrized."""
-        return symmetrize(self.kernel(x, x) - self.subspace_kernel(x, x))
 
     def deficiency_many(self, Xq):
         """Deficiency matrices for a (q, d) batch, returns (q, m, m)."""
@@ -81,7 +71,8 @@ class PowerEvaluator:
         alpha = np.asarray(alpha, dtype=np.float64)
         if np.linalg.norm(alpha) == 0:
             raise ValueError("direction must be nonzero")
-        val = float(alpha @ self.deficiency(x) @ alpha)
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        val = float(alpha @ self.deficiency_many(x[None, :])[0] @ alpha)
         scale = max(1.0, float(alpha @ self.kernel(x, x) @ alpha))
         if val < -PSD_TOL * scale:
             raise PowerBreakdownError(
@@ -111,15 +102,13 @@ class PowerEvaluator:
 
 
 def scalar_power_sq(ks: ScalarKernel, X: PointSet, x):
-    """Squared power-function of a scalar kernel (the m = 1 case)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    kxx = ks(x, x)
-    if X.n == 0:
-        return max(kxx, 0.0)
-    row = ks.cross(x[None, :], X.points)[0]
-    K = ks.cross(X.points, X.points)
-    val = kxx - float(row @ pinv_sym(K) @ row)
-    return max(val, 0.0)
+    """Squared power-function of a scalar kernel (the m = 1 case).
+
+    Raises DuplicateCentersError when X has (near-)duplicate points and,
+    like ``PowerEvaluator.power_sq``, PowerBreakdownError.
+    """
+    kernel = SeparableKernel.create([(ks, [[1.0]])])
+    return PowerEvaluator.build(kernel, X).power_sq(x, [1.0])
 
 
 def power_additivity_check(kernel: SeparableKernel, X: PointSet, samples):

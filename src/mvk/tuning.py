@@ -185,18 +185,3 @@ def _block_sq_residuals(template, grid, cfg, fc, fv):
         if (c + 1) % 500 == 0:
             log.info("grid search: %d/%d candidates of a block", c + 1, n_cand)
     return ids, out
-
-
-def covariance_eigenbasis(samples):
-    """Mean, ascending eigenvalues and eigenvectors of the sample covariance.
-
-    Uses the unbiased divisor (count - 1).
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if samples.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    mu = samples.mean(axis=0)
-    centered = samples - mu
-    C = centered.T @ centered / (samples.shape[0] - 1)
-    w, V = sym_eig(C)
-    return mu, w[::-1].copy(), V[:, ::-1].copy()

@@ -5,7 +5,6 @@ from mvk.linalg import (
     EigenSolverError,
     check_symmetric,
     is_psd,
-    kron,
     pinv_sym,
     rank_of,
     sym_eig,
@@ -95,11 +94,3 @@ def test_is_psd():
     # tiny negative eigenvalues within tolerance still count as PSD
     ok, _ = is_psd(np.diag([1.0, -1e-13]))
     assert ok
-
-
-def test_kron_block_layout():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    B = np.eye(2)
-    K = kron(A, B)
-    assert K.shape == (4, 4)
-    assert np.array_equal(K[:2, 2:], 2.0 * B)

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from mvk.interpolation import NativeSpanFunction, fit, native_norm_sq, residual_norm_sq
-from mvk.kernels import PointSet, ScalarKernel, SeparableKernel
+from mvk.kernels import DuplicateCentersError, PointSet, ScalarKernel, SeparableKernel
+from mvk.linalg import symmetrize
 from mvk.power import PowerEvaluator, power_additivity_check, scalar_power_sq
+
+
+def subspace_kernel(pe, x, y):
+    """Reference k_N(x, y) = C(x) G^+ C(y)^T, C the row of cross blocks."""
+    cx = pe.kernel.cross_many(x[None, :], pe.centers)[0]
+    cy = pe.kernel.cross_many(y[None, :], pe.centers)[0]
+    return cx @ pe.gram_pinv @ cy.T
 
 
 def coupled_kernel():
@@ -29,7 +37,7 @@ def test_power_zero_at_centers():
     for x in X.points:
         assert pe.power_sq(x, np.array([1.0, 0.0])) <= 1e-10
         assert pe.power_sq(x, np.array([0.3, -0.8])) <= 1e-10
-        assert np.linalg.norm(pe.deficiency(x)) <= 1e-8
+        assert np.linalg.norm(pe.deficiency_many(x[None, :])[0]) <= 1e-8
 
 
 def test_power_nonnegative_and_bounded_by_diagonal():
@@ -80,7 +88,8 @@ def test_deficiency_many_matches_single():
     D = pe.deficiency_many(Xq)
     assert D.shape == (3, 2, 2)
     for i, x in enumerate(Xq):
-        assert np.allclose(D[i], pe.deficiency(x), atol=1e-12)
+        ref = symmetrize(k(x, x) - subspace_kernel(pe, x, x))
+        assert np.allclose(D[i], ref, atol=1e-12)
 
 
 def test_subspace_kernel_reproduces_on_centers():
@@ -90,7 +99,7 @@ def test_subspace_kernel_reproduces_on_centers():
     pe = PowerEvaluator.build(k, X)
     y = np.array([0.37])
     for x in X.points:
-        assert np.allclose(pe.subspace_kernel(x, y), k(x, y), atol=1e-8)
+        assert np.allclose(subspace_kernel(pe, x, y), k(x, y), atol=1e-8)
 
 
 def test_power_is_worst_case_error_functional():
@@ -133,6 +142,13 @@ def test_scalar_power_zero_at_centers():
     for x in X.points:
         assert scalar_power_sq(ks, X, x) <= 1e-10
     assert scalar_power_sq(ks, PointSet([], d=1), np.array([0.3])) == pytest.approx(1.0)
+
+
+def test_scalar_power_rejects_duplicate_centers():
+    ks = ScalarKernel.gaussian(1.5)
+    X = PointSet(np.array([[0.0], [0.5], [0.5]]))
+    with pytest.raises(DuplicateCentersError):
+        scalar_power_sq(ks, X, np.array([0.2]))
 
 
 def test_order1_power_factorization():

@@ -1,18 +1,24 @@
-"""Property tests: each structured kernel path against the dense reference.
+"""Property tests on random separable kernels with Gaussian and polynomial terms.
 
 The structured paths (term-wise evaluation, the vectorized diagonal, the
 flat deficiency product and the broadcast block assembly) are compared
 with the dense cross blocks, per-point evaluations and explicit Kronecker
-sums on random separable kernels with Gaussian and polynomial terms.
+sums.  The power-function laws of the paper are checked on the same
+kernels: 0 <= D(x) <= k(x, x), D vanishes at the centers, D does not grow
+as centers are added, and the additivity gap is nonnegative and vanishes
+for uncoupled kernels.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvk import NativeSpanFunction, PointSet, PowerEvaluator, ScalarKernel, SeparableKernel
+from mvk.decomposition import orthogonal_products
 from mvk.interpolation import Interpolant
-from mvk.linalg import kron, symmetrize
+from mvk.power import power_additivity_check, scalar_power_sq
+from mvk.linalg import symmetrize
 
 # Relative tolerance against the dense reference, on the scale of the sum
 # of absolute products, so that cancellation cannot hide an error.
@@ -99,7 +105,9 @@ def test_deficiency_many_matches_pointwise(problem):
     P = np.abs(pe.gram_pinv)
     for x, Dx, Cx in zip(Xq, D, C):
         scale = np.abs(kernel(x, x)) + np.abs(Cx) @ P @ np.abs(Cx).T
-        _assert_close(Dx, pe.deficiency(x), scale)
+        # per-point reference k(x, x) - C G^+ C^T
+        cx = kernel.cross_many(x[None, :], X)[0]
+        _assert_close(Dx, symmetrize(kernel(x, x) - cx @ pe.gram_pinv @ cx.T), scale)
 
 
 @SETTINGS
@@ -109,8 +117,99 @@ def test_block_assembly_matches_kron_sum(problem):
     # the results are equal, not just close.
     kernel, X, Xq, _ = problem
     m = kernel.m
-    G_ref = sum(kron(ks.cross(X.points, X.points), Q) for ks, Q in kernel.terms)
+    G_ref = sum(np.kron(ks.cross(X.points, X.points), Q) for ks, Q in kernel.terms)
     assert np.array_equal(kernel.gramian(X), symmetrize(G_ref))
-    C_ref = sum(kron(ks.cross(Xq, X.points), Q) for ks, Q in kernel.terms)
+    C_ref = sum(np.kron(ks.cross(Xq, X.points), Q) for ks, Q in kernel.terms)
     C = kernel.cross_many(Xq, X)
     assert np.array_equal(C.reshape(len(Xq) * m, X.n * m), C_ref)
+
+
+def _law_tol(kernel, X):
+    # D(x) = k(x, x) - C G^+ C^T subtracts quantities bounded by the
+    # Gramian's entries, through a pseudo-inverse that keeps eigenvalues down
+    # to RANK_TOL (1e-10) of lambda_max(G), so its roundoff scales with
+    # lambda_max(G).  On the ill-conditioned Gramians drawn here D at the
+    # centers reaches 7e-9 * lambda_max(G) at the 99th percentile, while a
+    # wrong D is off by a fraction of k(x, x).
+    return 1e-8 * max(1.0, np.linalg.eigvalsh(kernel.gramian(X))[-1])
+
+
+def _directions(A):
+    return A / np.linalg.norm(A, axis=1, keepdims=True)
+
+
+@SETTINGS
+@given(problems())
+def test_power_between_zero_and_kernel_diagonal(problem):
+    kernel, X, Xq, A = problem
+    tol = _law_tol(kernel, X)
+    pe = PowerEvaluator.build(kernel, X)
+    D = pe.deficiency_many(Xq)
+    kxx = kernel.diag_value(Xq)
+    # 0 <= alpha^T D(x) alpha <= alpha^T k(x, x) alpha for every alpha
+    assert np.all(np.linalg.eigvalsh(D) >= -tol)
+    assert np.all(np.linalg.eigvalsh(kxx - D) >= -tol)
+    for x, Kx in zip(Xq, kxx):
+        for a in _directions(A):
+            p2 = pe.power_sq(x, a)
+            assert 0.0 <= p2 <= float(a @ Kx @ a) + tol
+
+
+@SETTINGS
+@given(problems())
+def test_deficiency_vanishes_at_centers(problem):
+    kernel, X, _, _ = problem
+    D = PowerEvaluator.build(kernel, X).deficiency_many(X.points)
+    assert np.all(np.abs(D) <= _law_tol(kernel, X))
+
+
+# A scalar Gaussian whose 7th center lies 0.02 from the 1st: the 7-center
+# Gramian has an eigenvalue (5.8e-11) below the cutoff RANK_TOL * lambda_max,
+# so the pseudo-inverse drops it and D(-0.99) is 0.2546 against the exact
+# 0.1556 (a 50-digit solve; Cholesky agrees), above the 6-center 0.2536.
+NEAR_DUPLICATE_CENTERS = (
+    SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.ones((1, 1)))]),
+    PointSet(np.array([[0.63], [0.83], [0.21], [0.46], [0.09], [0.87], [0.65]])),
+    np.array([[-0.99]]),
+    np.ones((7, 1)),
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the pseudo-inverse cutoff drops Gramian eigenvalues below "
+    "RANK_TOL * lambda_max, so the subspaces of consecutive prefixes are not "
+    "nested and D can grow when a center is added",
+)
+@SETTINGS
+@given(problems())
+@example(NEAR_DUPLICATE_CENTERS)
+def test_deficiency_nonincreasing_as_centers_grow(problem):
+    kernel, X, Xq, _ = problem
+    tol = _law_tol(kernel, X)
+    prev = kernel.diag_value(Xq)
+    for i in range(1, X.n + 1):
+        D = PowerEvaluator.build(kernel, X.prefix(i)).deficiency_many(Xq)
+        # Loewner order: D_{i-1}(x) - D_i(x) is positive semi-definite
+        assert np.all(np.linalg.eigvalsh(prev - D) >= -tol)
+        prev = D
+
+
+@SETTINGS
+@given(problems())
+def test_additivity_gap(problem):
+    kernel, X, Xq, A = problem
+    tol = _law_tol(kernel, X)
+    samples = list(zip(Xq, _directions(A)))
+    if kernel.p >= 2:
+        gaps = [rep["gap"] for rep in power_additivity_check(kernel, X, samples)]
+    else:
+        # one term: the order-1 factorization P^2 = Phat^2 * alpha^T Q alpha
+        ((ks, Q),) = kernel.terms
+        pe = PowerEvaluator.build(kernel, X)
+        gaps = [pe.power_sq(x, a) - scalar_power_sq(ks, X, x) * float(a @ Q @ a)
+                for x, a in samples]
+    assert all(g >= -tol for g in gaps)
+    if orthogonal_products(kernel.coefficients()):
+        assert all(abs(g) <= tol for g in gaps)

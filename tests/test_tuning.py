@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvk import tuning
+from mvk.builtin import covariance_eigenbasis
 from mvk.interpolation import fit
 from mvk.kernels import PointSet
 from mvk.tuning import (
@@ -11,7 +12,6 @@ from mvk.tuning import (
     GridSearchError,
     KernelTemplate,
     _blocks,
-    covariance_eigenbasis,
     select_shapes,
 )
 
@@ -62,7 +62,7 @@ def test_template_validation_and_instantiate():
     assert tpl.n_groups == 1
     k = tpl.instantiate({0: 1.5})
     assert k.p == 2
-    assert all(ks.shape == 1.5 for ks in k.scalar_kernels())
+    assert all(ks.shape == 1.5 for ks, _ in k.terms)
 
 
 def reference_table(template, cfg):
