@@ -202,7 +202,7 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
     for i in range(1, n_centers + 1):
         Xi = centers.prefix(i)
         pe = PowerEvaluator.build(kernel, Xi, rank_tol=EXAMPLE2_RANK_TOL)
-        alpha = pe.gram_pinv @ f.evaluate_many(Xi.points).reshape(-1)
+        alpha = pe.solve(f.evaluate_many(Xi.points).reshape(-1))
         s = Interpolant(kernel, Xi, alpha,
                         {"path": "pseudo_inverse", "residual": 0.0,
                          "rank_used": 0})
@@ -405,8 +405,10 @@ def cmd_eval(args):
     rows = [
         [float(v) for v in np.concatenate([X[i], pred[i]])] for i in range(len(X))
     ]
+    bounds_note = ""
     if args.bounds:
         pe = PowerEvaluator.build(s.kernel, s.centers)
+        bounds_note = f" bounds path={pe.path}"
         factors = pe.bound_factors(X)
         columns += ["delta1_two", "delta1_inf", "delta1_one"]
         for i in range(len(X)):
@@ -414,7 +416,7 @@ def cmd_eval(args):
                 float(factors[k][i] * args.residual_norm) for k in ("two", "inf", "one")
             ]
     _write_csv(args.out_csv, "eval", eff, columns, rows)
-    print(f"eval: wrote {args.out_csv}")
+    print(f"eval: wrote {args.out_csv}{bounds_note}")
     return 0
 
 

@@ -4,7 +4,8 @@ The interpolant of data (X, f(X)) is s(x) = sum_i k(x, x_i) alpha_i where
 the stacked coefficient vector solves the block Gramian system
 k(X, X) alpha = f(X).  Strictly positive definite kernels go through a
 Cholesky factorization; merely positive definite kernels use the
-minimal-norm pseudo-inverse solution.
+minimal-norm pseudo-inverse solution, whose eigendecomposition also gives
+the rank used.
 """
 
 import json
@@ -12,10 +13,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 
 from .kernels import PointSet, SeparableKernel, _as_point
-from .linalg import PSD_TOL, pinv_sym, rank_of, sym_eig
+from .linalg import PSD_TOL, _SymFactor, sym_eig
+from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
 
 # Relative residual beyond which a Cholesky fit is flagged ill-conditioned.
 LIN_TOL = 1e-8
@@ -78,24 +80,19 @@ def fit(kernel, X, values, fallback_to_pinv=False):
     rhs = values.reshape(-1)
     G = kernel.gramian(X)
 
-    if kernel.strictly_pd:
-        try:
-            c, low = cho_factor(G, lower=True)
-            alpha = cho_solve((c, low), rhs)
-            path, rank_used = "cholesky", G.shape[0]
-        except LinAlgError:
-            if not fallback_to_pinv:
-                w, _ = sym_eig(G)
-                raise ConditioningError(
-                    f"Cholesky failed on strictly-pd kernel "
-                    f"(lambda_min estimate {w[-1]:.3e})",
-                    lam_min=float(w[-1]),
-                ) from None
-            alpha = np.linalg.solve(G, rhs)
-            path, rank_used = "lu_fallback", G.shape[0]
+    try:
+        factor = _SymFactor.cholesky(G) if kernel.strictly_pd else _SymFactor.eigh(G)
+    except LinAlgError:
+        if not fallback_to_pinv:
+            w, _ = sym_eig(G)
+            raise ConditioningError(
+                f"Cholesky failed on strictly-pd kernel "
+                f"(lambda_min estimate {w[-1]:.3e})",
+                lam_min=float(w[-1]),
+            ) from None
+        alpha, path, rank_used = np.linalg.solve(G, rhs), "lu_fallback", G.shape[0]
     else:
-        alpha = pinv_sym(G) @ rhs
-        path, rank_used = "pseudo_inverse", rank_of(G)
+        alpha, path, rank_used = factor.solve(rhs), factor.path, factor.rank
 
     scale = max(np.linalg.norm(rhs), 1e-300)
     residual = float(np.linalg.norm(G @ alpha - rhs) / scale)

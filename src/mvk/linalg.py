@@ -2,10 +2,13 @@
 
 All matrices handled here are real symmetric.  The pseudo-inverse is taken
 through the symmetric eigendecomposition rather than an SVD, so that the
-result is symmetric by spectral reconstruction.
+result is symmetric by spectral reconstruction.  ``_SymFactor`` is the one
+factorization behind interpolation and the power-function: Cholesky for
+positive definite matrices, otherwise one eigendecomposition.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 # Relative tolerance for accepting a matrix as symmetric.
 SYM_TOL = 1e-12
@@ -54,6 +57,18 @@ def sym_eig(A):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
+def _kept(w):
+    """Mask of the eigenvalues with |lambda| > RANK_TOL * max|lambda|."""
+    aw = np.abs(w)
+    return aw > RANK_TOL * max(aw.max(initial=0.0), ZERO_FLOOR)
+
+
+def _pinv_from_eig(w, V, kept):
+    """V diag(1/w) V^T over the eigenvalues marked ``kept``."""
+    inv = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
+    return symmetrize((V * inv) @ V.T)
+
+
 def pinv_sym(A, rank_tol=RANK_TOL):
     """Moore-Penrose pseudo-inverse of a symmetric matrix.
 
@@ -64,17 +79,74 @@ def pinv_sym(A, rank_tol=RANK_TOL):
         raise ValueError("rank_tol must be positive")
     w, V = sym_eig(A)
     aw = np.abs(w)
-    cutoff = rank_tol * max(aw.max(initial=0.0), ZERO_FLOOR)
-    inv = np.where(aw > cutoff, 1.0 / np.where(aw > cutoff, w, 1.0), 0.0)
-    return symmetrize((V * inv) @ V.T)
+    return _pinv_from_eig(w, V, aw > rank_tol * max(aw.max(initial=0.0), ZERO_FLOOR))
 
 
 def rank_of(A):
     """Numerical rank: count of |lambda_i| above RANK_TOL * max|lambda|."""
     w, _ = sym_eig(A)
-    aw = np.abs(w)
-    cutoff = RANK_TOL * max(aw.max(initial=0.0), ZERO_FLOOR)
-    return int(np.count_nonzero(aw > cutoff))
+    return int(np.count_nonzero(_kept(w)))
+
+
+class _SymFactor:
+    """A symmetric positive semi-definite matrix A, factored once.
+
+    ``path`` names the route:
+
+    - ``"cholesky"``: A = L L^T; ``solve`` applies A^{-1}.
+    - ``"pseudo_inverse"``: one eigendecomposition; ``solve`` applies A^+,
+      the eigenvalues at or below the cutoff dropped.
+
+    ``rank`` counts the eigenvalues kept and ``lam_min`` is the smallest
+    eigenvalue; both are None for a pseudo-inverse passed in directly
+    (``_SymFactor("pseudo_inverse", pinv_sym(A, rank_tol))``), and
+    ``lam_min`` is None on the Cholesky route.
+    """
+
+    def __init__(self, path, M, rank=None, lam_min=None):
+        self.path = path
+        self._M = M  # lower Cholesky factor L, or the pseudo-inverse A^+
+        self.rank = rank
+        self.lam_min = lam_min
+
+    @classmethod
+    def cholesky(cls, A):
+        """Cholesky route; raises scipy.linalg.LinAlgError if A does not factor."""
+        L, _ = cho_factor(A, lower=True)
+        return cls("cholesky", L, rank=A.shape[0])
+
+    @classmethod
+    def eigh(cls, A):
+        """Pseudo-inverse route at the cutoff RANK_TOL, from one ``sym_eig``."""
+        w, V = sym_eig(A)
+        kept = _kept(w)
+        lam_min = float(w[-1]) if w.size else 0.0
+        return cls("pseudo_inverse", _pinv_from_eig(w, V, kept),
+                   rank=int(np.count_nonzero(kept)), lam_min=lam_min)
+
+    def solve(self, B):
+        """A^{-1} B on the Cholesky route, A^+ B on the pseudo-inverse route."""
+        if self.path == "cholesky":
+            return cho_solve((self._M, True), B)
+        return self._M @ B
+
+    def inner(self, C):
+        """C_q A^{-1} C_q^T (or A^+) for each (m, N) block of a (q, m, N) array.
+
+        On the Cholesky route this is W_q^T W_q with W = L^{-1} C^T, one
+        triangular solve over the flat (q m, N) array; ``C`` is overwritten.
+        """
+        Cf = C.reshape(-1, C.shape[2])
+        if self.path == "cholesky":
+            # Cf^T is Fortran-ordered, so LAPACK solves it in place; the
+            # result's transpose is C-ordered again.
+            W = solve_triangular(self._M, Cf.T, lower=True, overwrite_b=True).T
+            W = W.reshape(C.shape)
+            return np.einsum("qan,qbn->qab", W, W)
+        # One (q m, N) x (N, N) GEMM; a 3-D C would make numpy issue one
+        # small GEMM per block.
+        CP = (Cf @ self._M).reshape(C.shape)
+        return np.einsum("qan,qbn->qab", CP, C)
 
 
 def is_psd(A):

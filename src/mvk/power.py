@@ -10,17 +10,25 @@ alpha^T (k(x, x) - k_N(x, x)) alpha.  The deficiency matrix
 D(x) = k(x, x) - k_N(x, x) also drives the pointwise error bounds in the
 2-, infinity- and 1-norm.
 
+``PowerEvaluator`` factors the Gramian G = k(X, X) once.  For a strictly
+positive definite kernel G^+ = G^{-1}, and a Cholesky factor G = L L^T
+gives k_N(x, x) = W^T W with W = L^{-1} k(X, x), with no eigenvalue
+cutoff.  Otherwise, or when Cholesky fails, one eigendecomposition gives
+the pseudo-inverse.
+
 ``PowerEvaluator.deficiency_many`` is the one routine that computes D(x);
 the power-function, the bound factors, the error bounds and the scalar
 power-function (the m = 1 kernel ``k_s * [[1]]``) all read it.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from .kernels import PointSet, ScalarKernel, SeparableKernel
-from .linalg import PSD_TOL, RANK_TOL, pinv_sym
+from .linalg import PSD_TOL, _SymFactor, pinv_sym
 
 
 class PowerBreakdownError(RuntimeError):
@@ -29,16 +37,55 @@ class PowerBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class PowerEvaluator:
-    """Precomputed pseudo-inverse of the Gramian for power queries."""
+    """The Gramian of a kernel on a set of centers, factored for power queries.
+
+    ``path`` is ``"cholesky"`` or ``"pseudo_inverse"`` (see ``build``).
+    """
 
     kernel: SeparableKernel
     centers: PointSet
-    gram_pinv: np.ndarray
+    factor: _SymFactor
 
     @classmethod
-    def build(cls, kernel, centers, rank_tol=RANK_TOL):
+    def build(cls, kernel, centers, rank_tol=None):
+        """Factor the Gramian of ``kernel`` on ``centers``.
+
+        With ``rank_tol=None`` the route is Cholesky, with no cutoff, when
+        the kernel is strictly pd and the Gramian factors, and otherwise the
+        pseudo-inverse at RANK_TOL; a strictly pd kernel whose Gramian does
+        not factor warns with its smallest eigenvalue.  An explicit
+        ``rank_tol`` takes the pseudo-inverse at that cutoff.
+        """
         G = kernel.gramian(centers)
-        return cls(kernel, centers, pinv_sym(G, rank_tol))
+        if rank_tol is not None:
+            factor = _SymFactor("pseudo_inverse", pinv_sym(G, rank_tol))
+        elif not kernel.strictly_pd:
+            factor = _SymFactor.eigh(G)
+        else:
+            try:
+                factor = _SymFactor.cholesky(G)
+            except LinAlgError:
+                factor = _SymFactor.eigh(G)
+                warnings.warn(
+                    f"Cholesky failed on the Gramian of a strictly pd kernel "
+                    f"(lambda_min {factor.lam_min:.3e}); using the pseudo-inverse",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        return cls(kernel, centers, factor)
+
+    @property
+    def path(self):
+        return self.factor.path
+
+    @property
+    def gram_pinv(self):
+        """G^{-1} (Cholesky route) or G^+ as a dense matrix, for analysis."""
+        return self.factor.solve(np.eye(self.centers.n * self.kernel.m))
+
+    def solve(self, b):
+        """G^{-1} b on the Cholesky route, G^+ b on the pseudo-inverse route."""
+        return self.factor.solve(b)
 
     def deficiency_many(self, Xq):
         """Deficiency matrices for a (q, d) batch, returns (q, m, m)."""
@@ -46,12 +93,7 @@ class PowerEvaluator:
         kxx = self.kernel.diag_value(Xq)
         if self.centers.n == 0:
             return kxx
-        C = self.kernel.cross_many(Xq, self.centers)
-        # One (q m, m n) x (m n, m n) GEMM; a 3-D C would make numpy issue
-        # one small GEMM per query point.
-        CP = (C.reshape(-1, C.shape[2]) @ self.gram_pinv).reshape(C.shape)
-        kn = np.einsum("qan,qbn->qab", CP, C)
-        D = kxx - kn
+        D = kxx - self.factor.inner(self.kernel.cross_many(Xq, self.centers))
         return 0.5 * (D + np.swapaxes(D, 1, 2))
 
     def bound_factors(self, Xq):

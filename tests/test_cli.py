@@ -198,6 +198,7 @@ def test_eval_bound_columns(tmp_path, capsys):
         ["eval", "--model", model, "--data", query, "--out-csv", out,
          "--bounds", "--residual-norm", "2.0"]
     ) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" bounds path=cholesky")
     header, rows = read_csv(out)
     assert header[-3:] == ["delta1_two", "delta1_inf", "delta1_one"]
     for r in rows:

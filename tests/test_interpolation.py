@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvk import interpolation
+from mvk import interpolation, linalg
 from mvk.interpolation import (
     ConditioningError,
     KernelMismatchError,
@@ -57,6 +57,30 @@ def test_fit_pseudo_inverse_path():
     assert s.solver_info["path"] == "pseudo_inverse"
     assert s.solver_info["rank_used"] <= 6
     assert np.allclose(s.evaluate_many(X.points), F, atol=1e-10)
+
+
+def test_pseudo_inverse_fit_takes_one_eigendecomposition(monkeypatch):
+    # alpha and rank_used both come from one eigh of the Gramian, with the
+    # values of pinv_sym and rank_of
+    k = polynomial_kernel()
+    X = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    F = np.stack([k(x, np.array([0.5, 0.5]))[:, 0] for x in X.points])
+    G = k.gramian(X)
+    alpha_ref, rank_ref = linalg.pinv_sym(G) @ F.reshape(-1), linalg.rank_of(G)
+
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counting_sym_eig(A):
+        calls.append(1)
+        return sym_eig(A)
+
+    monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
+    s = fit(k, X, F)
+    assert s.solver_info["path"] == "pseudo_inverse"
+    assert len(calls) == 1
+    assert np.array_equal(s.coeffs, alpha_ref)
+    assert s.solver_info["rank_used"] == rank_ref
 
 
 def test_fit_shape_validation():

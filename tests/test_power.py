@@ -3,7 +3,7 @@ import pytest
 
 from mvk.interpolation import NativeSpanFunction, fit, native_norm_sq, residual_norm_sq
 from mvk.kernels import DuplicateCentersError, PointSet, ScalarKernel, SeparableKernel
-from mvk.linalg import symmetrize
+from mvk.linalg import RANK_TOL, pinv_sym, symmetrize
 from mvk.power import PowerEvaluator, power_additivity_check, scalar_power_sq
 
 
@@ -191,3 +191,43 @@ def test_additivity_requires_two_terms():
     k = SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.eye(2))])
     with pytest.raises(ValueError):
         power_additivity_check(k, PointSet(np.array([[0.0]])), [])
+
+
+def test_cholesky_route_matches_eigh_reference():
+    # coupled m = 3 Gaussian, n = 200 centers, Gramian condition about 7e4
+    rng = np.random.default_rng(0)
+    terms = []
+    for shape in (50.0, 100.0):
+        A = rng.standard_normal((3, 3))
+        terms.append((ScalarKernel.gaussian(shape), A @ A.T / 3 + 0.1 * np.eye(3)))
+    k = SeparableKernel.create(terms)
+    X = PointSet(rng.uniform(-1, 1, (200, 2)))
+    Xq = rng.uniform(-1, 1, (50, 2))
+    pe = PowerEvaluator.build(k, X)
+    ref = PowerEvaluator.build(k, X, rank_tol=RANK_TOL)
+    assert (pe.path, ref.path) == ("cholesky", "pseudo_inverse")
+
+    G = k.gramian(X)
+    P = pinv_sym(G)
+    C = k.cross_many(Xq, X)
+    kxx = k.diag_value(Xq)
+    D_ref = kxx - np.einsum("qan,nk,qbk->qab", C, P, C)
+    scale = np.max(np.linalg.norm(kxx, 2, axis=(1, 2)))
+    assert np.max(np.abs(pe.deficiency_many(Xq) - D_ref)) <= 1e-10 * scale
+
+    got, want = pe.bound_factors(Xq), ref.bound_factors(Xq)
+    for key in ("two", "inf", "one"):
+        assert np.all(np.abs(got[key] - want[key]) <= 1e-8 * want[key])
+    assert np.linalg.norm(pe.gram_pinv - P) <= 1e-10 * np.linalg.norm(P)
+
+    empty = PowerEvaluator.build(k, PointSet(np.zeros((0, 2))))
+    assert np.array_equal(empty.deficiency_many(Xq), kxx)
+
+
+def test_build_warns_when_cholesky_fails():
+    # 20 centers in [0, 0.5] make the Gaussian Gramian numerically singular
+    k = SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.eye(1))])
+    X = PointSet(np.linspace(0, 0.5, 20)[:, None])
+    with pytest.warns(RuntimeWarning, match="lambda_min"):
+        pe = PowerEvaluator.build(k, X)
+    assert pe.path == "pseudo_inverse"

@@ -126,11 +126,11 @@ def test_block_assembly_matches_kron_sum(problem):
 
 def _law_tol(kernel, X):
     # D(x) = k(x, x) - C G^+ C^T subtracts quantities bounded by the
-    # Gramian's entries, through a pseudo-inverse that keeps eigenvalues down
-    # to RANK_TOL (1e-10) of lambda_max(G), so its roundoff scales with
-    # lambda_max(G).  On the ill-conditioned Gramians drawn here D at the
-    # centers reaches 7e-9 * lambda_max(G) at the 99th percentile, while a
-    # wrong D is off by a fraction of k(x, x).
+    # Gramian's entries, through a Cholesky factor or a pseudo-inverse that
+    # keeps eigenvalues down to RANK_TOL (1e-10) of lambda_max(G), so its
+    # roundoff scales with lambda_max(G).  On the ill-conditioned Gramians
+    # drawn here D at the centers reaches 7e-9 * lambda_max(G) at the 99th
+    # percentile, while a wrong D is off by a fraction of k(x, x).
     return 1e-8 * max(1.0, np.linalg.eigvalsh(kernel.gramian(X))[-1])
 
 
@@ -164,23 +164,39 @@ def test_deficiency_vanishes_at_centers(problem):
 
 
 # A scalar Gaussian whose 7th center lies 0.02 from the 1st: the 7-center
-# Gramian has an eigenvalue (5.8e-11) below the cutoff RANK_TOL * lambda_max,
-# so the pseudo-inverse drops it and D(-0.99) is 0.2546 against the exact
-# 0.1556 (a 50-digit solve; Cholesky agrees), above the 6-center 0.2536.
+# Gramian's smallest eigenvalue (5.8e-11) lies below the pseudo-inverse
+# cutoff RANK_TOL * lambda_max.  The Cholesky route keeps it, and D(-0.99)
+# falls from 0.2536 (6 centers) to the exact 0.1556 (a 50-digit solve).
 NEAR_DUPLICATE_CENTERS = (
     SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.ones((1, 1)))]),
     PointSet(np.array([[0.63], [0.83], [0.21], [0.46], [0.09], [0.87], [0.65]])),
     np.array([[-0.99]]),
     np.ones((7, 1)),
 )
+# D(-0.99) on all 7 centers, from a 50-digit solve.  Rounding the Gramian's
+# entries to float64 alone moves it by 4.9e-8, so it is checked within 1e-7.
+NEAR_DUPLICATE_D7 = 0.15563792453358449
 
 
+def test_near_duplicate_center_lowers_deficiency():
+    kernel, X, Xq, _ = NEAR_DUPLICATE_CENTERS
+    d6, d7 = (
+        PowerEvaluator.build(kernel, X.prefix(i)).deficiency_many(Xq)[0, 0, 0]
+        for i in (6, 7)
+    )
+    assert abs(d7 - NEAR_DUPLICATE_D7) <= 1e-7
+    assert d7 <= d6
+
+
+# Kernels that are not strictly pd (polynomial terms, singular coefficient
+# sums) still take the pseudo-inverse with its cutoff.
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the pseudo-inverse cutoff drops Gramian eigenvalues below "
-    "RANK_TOL * lambda_max, so the subspaces of consecutive prefixes are not "
-    "nested and D can grow when a center is added",
+    reason="on kernels that are not strictly pd the pseudo-inverse cutoff "
+    "drops Gramian eigenvalues below RANK_TOL * lambda_max, so the subspaces "
+    "of consecutive prefixes are not nested and D can grow when a center is "
+    "added",
 )
 @SETTINGS
 @given(problems())
