@@ -71,9 +71,9 @@ def _header(command, cfg):
     ]
 
 
-def _write_csv(path, command, cfg, columns, rows):
+def _write_csv(path, header, columns, rows):
     with open(path, "w", newline="") as fh:
-        for line in _header(command, cfg):
+        for line in header:
             fh.write(line + "\n")
         w = csv.writer(fh)
         w.writerow(columns)
@@ -135,8 +135,7 @@ def cmd_example1(args):
             rows = [[i] + r for i, r in enumerate(res.table.tolist())]
             _write_csv(
                 out / f"tuning_{name}.csv",
-                "example1",
-                eff,
+                _header("example1", eff),
                 ["candidate"] + cols + ["max_validation_error"],
                 rows,
             )
@@ -160,7 +159,7 @@ def cmd_example1(args):
             except (ConditioningError, np.linalg.LinAlgError):
                 row.append(None)
         rows.append(row)
-    _write_csv(out / "decay.csv", "example1", eff,
+    _write_csv(out / "decay.csv", _header("example1", eff),
                ["N"] + [f"err_{n}" for n in names], rows)
 
     lines = ["covariance eigenvalues (ascending): "
@@ -251,15 +250,13 @@ def cmd_example2(args):
         ]
         _write_csv(
             out / f"bounds_{norm}_norm.csv",
-            "example2",
-            eff,
+            _header("example2", eff),
             ["i", "max_error", "delta1", "delta2"],
             rows,
         )
     _write_csv(
         out / "residual.csv",
-        "example2",
-        eff,
+        _header("example2", eff),
         ["i", "residual_norm", "f_norm"],
         [[rec["i"], rec["residual_norm"], rec["f_norm"]] for rec in records],
     )
@@ -387,8 +384,9 @@ def cmd_fit(args):
     except ConditioningError as err:
         raise SystemExit(f"error: {err}")
     save_model(s, args.out_model)
-    print(f"fit: wrote {args.out_model} "
-          f"(path={s.solver_info['path']}, residual={s.solver_info['residual']:.3e})")
+    info = s.solver_info
+    print(f"fit: wrote {args.out_model} (path={info['path']}, "
+          f"residual={info['residual']:.3e}, blocks={info['blocks']})")
     return 0
 
 
@@ -405,17 +403,19 @@ def cmd_eval(args):
     rows = [
         [float(v) for v in np.concatenate([X[i], pred[i]])] for i in range(len(X))
     ]
+    header = _header("eval", eff)
     bounds_note = ""
     if args.bounds:
         pe = PowerEvaluator.build(s.kernel, s.centers)
         bounds_note = f" bounds path={pe.path}"
+        header.append(f"# solver: bounds path={pe.path}")
         factors = pe.bound_factors(X)
         columns += ["delta1_two", "delta1_inf", "delta1_one"]
         for i in range(len(X)):
             rows[i] += [
                 float(factors[k][i] * args.residual_norm) for k in ("two", "inf", "one")
             ]
-    _write_csv(args.out_csv, "eval", eff, columns, rows)
+    _write_csv(args.out_csv, header, columns, rows)
     print(f"eval: wrote {args.out_csv}{bounds_note}")
     return 0
 

@@ -1,6 +1,8 @@
 """Structural analysis of separable kernel decompositions.
 
-Covers the uncoupledness rank arithmetic, linear-independence certificates
+Covers the uncoupledness rank arithmetic, the per-term split of kernels
+whose coefficients have orthogonal products (shared by ``fit`` and shape
+tuning), linear-independence certificates
 for coefficients and scalar kernels, simultaneous diagonalization of
 commuting symmetric families, and recovery of the orthogonal-coefficient
 decomposition from sampled kernel values.
@@ -73,6 +75,30 @@ def orthogonal_products(Qs):
         for j in range(len(Qs))
         if i != j
     )
+
+
+def uncoupled_split(Qs):
+    """Per-term ranges of coefficients that split interpolation exactly.
+
+    When the products Q_i Q_j (i != j) vanish and the ranks of the Q_i add
+    up to m, the ranges of the Q_i are mutually orthogonal and span R^m, so
+    the interpolation problem splits into one independent problem per term
+    on the range of its coefficient.  Returns a list of ``(U_i, w_i)``: the
+    orthonormal columns U_i spanning the range of Q_i and its kept
+    eigenvalues w_i (those above EIG_TOL * max(1, |w_0|)), so that
+    Q_i = U_i diag(w_i) U_i^T.  Returns None when there is no such split.
+    """
+    Qs = [np.asarray(Q, dtype=np.float64) for Q in Qs]
+    if not orthogonal_products(Qs):
+        return None
+    split = []
+    for Q in Qs:
+        w, V = sym_eig(Q)
+        keep = w > EIG_TOL * max(1.0, abs(w[0]))
+        split.append((V[:, keep], w[keep]))
+    if sum(U.shape[1] for U, _ in split) != Qs[0].shape[0]:
+        return None
+    return split
 
 
 def analyze(kernel: SeparableKernel, input_dim=2, seed=0) -> DecompositionReport:

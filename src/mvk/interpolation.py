@@ -5,7 +5,9 @@ the stacked coefficient vector solves the block Gramian system
 k(X, X) alpha = f(X).  Strictly positive definite kernels go through a
 Cholesky factorization; merely positive definite kernels use the
 minimal-norm pseudo-inverse solution, whose eigendecomposition also gives
-the rank used.
+the rank used.  Strictly positive definite kernels whose coefficients
+have pairwise orthogonal products (the paper's uncoupled decomposition)
+are fitted term by term, one n x n system each, without the block Gramian.
 """
 
 import json
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 
+from .decomposition import uncoupled_split
 from .kernels import PointSet, SeparableKernel, _as_point
-from .linalg import PSD_TOL, _SymFactor, sym_eig
+from .linalg import PSD_TOL, _SymFactor, sym_eig, symmetrize
 from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
 
 # Relative residual beyond which a Cholesky fit is flagged ill-conditioned.
@@ -69,19 +72,61 @@ def fit(kernel, X, values, fallback_to_pinv=False):
     system is used (truncating tiny eigenvalues instead would put a floor
     under the achievable interpolation error).  Kernels that are merely
     positive definite take the minimal-norm pseudo-inverse solution.
+
+    A strictly-pd kernel whose coefficients split per term
+    (:func:`~mvk.decomposition.uncoupled_split`, Q_i = U_i diag(w_i) U_i^T)
+    is solved term by term without forming the block Gramian: with
+    K_i = k_i(X, X), each term gives B_i = K_i^{-1} (F U_i) diag(1/w_i),
+    and the coefficients are alpha = sum_i B_i U_i^T.  Because the U_i
+    together form an orthogonal matrix, the term residuals add up to the
+    residual of the full system.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if X.n == 0:
-        return Interpolant(
-            kernel, X, np.zeros(0), {"path": "empty", "residual": 0.0, "rank_used": 0}
-        )
+        return Interpolant(kernel, X, np.zeros(0), {
+            "path": "empty", "residual": 0.0, "rank_used": 0, "blocks": 0})
     if values.shape != (X.n, kernel.m):
         raise ValueError(f"values must have shape ({X.n}, {kernel.m})")
-    rhs = values.reshape(-1)
-    G = kernel.gramian(X)
+    X.assert_distinct()
+    split = uncoupled_split(kernel.coefficients()) if kernel.strictly_pd else None
 
+    if split is None:
+        G = kernel.gramian(X, check_distinct=False)
+        rhs = values.reshape(-1)
+        alpha, path, rank_used = _solve(G, rhs, kernel.strictly_pd, fallback_to_pinv)
+        res_norm = np.linalg.norm(G @ alpha - rhs)
+        blocks = 1
+    else:
+        A = np.zeros((X.n, kernel.m))
+        res_sq, paths = 0.0, []
+        for (ks, _), (U, w) in zip(kernel.terms, split):
+            K = symmetrize(ks.cross(X.points, X.points))
+            FU = values @ U
+            B, route, _ = _solve(K, FU / w, True, fallback_to_pinv)
+            A += B @ U.T
+            res_sq += np.linalg.norm(K @ B * w - FU) ** 2
+            paths.append(route)
+        alpha, rank_used, blocks = A.reshape(-1), A.size, len(split)
+        res_norm = np.sqrt(res_sq)
+        path = "lu_fallback" if "lu_fallback" in paths else "cholesky"
+
+    scale = max(np.linalg.norm(values), 1e-300)
+    residual = float(res_norm / scale)
+    if path == "cholesky" and residual > LIN_TOL:
+        warnings.warn(
+            f"ill-conditioned interpolation system: relative residual "
+            f"{residual:.3e} exceeds {LIN_TOL:.1e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return Interpolant(kernel, X, alpha, {
+        "path": path, "residual": residual, "rank_used": rank_used, "blocks": blocks})
+
+
+def _solve(G, rhs, strictly_pd, fallback_to_pinv):
+    """Solve G x = rhs for one symmetric system; returns (x, path, rank)."""
     try:
-        factor = _SymFactor.cholesky(G) if kernel.strictly_pd else _SymFactor.eigh(G)
+        factor = _SymFactor.cholesky(G) if strictly_pd else _SymFactor.eigh(G)
     except LinAlgError:
         if not fallback_to_pinv:
             w, _ = sym_eig(G)
@@ -90,22 +135,8 @@ def fit(kernel, X, values, fallback_to_pinv=False):
                 f"(lambda_min estimate {w[-1]:.3e})",
                 lam_min=float(w[-1]),
             ) from None
-        alpha, path, rank_used = np.linalg.solve(G, rhs), "lu_fallback", G.shape[0]
-    else:
-        alpha, path, rank_used = factor.solve(rhs), factor.path, factor.rank
-
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    residual = float(np.linalg.norm(G @ alpha - rhs) / scale)
-    if path == "cholesky" and residual > LIN_TOL:
-        warnings.warn(
-            f"ill-conditioned interpolation system: relative residual "
-            f"{residual:.3e} exceeds {LIN_TOL:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return Interpolant(
-        kernel, X, alpha, {"path": path, "residual": residual, "rank_used": rank_used}
-    )
+        return np.linalg.solve(G, rhs), "lu_fallback", G.shape[0]
+    return factor.solve(rhs), factor.path, factor.rank
 
 
 @dataclass(frozen=True)
@@ -173,11 +204,7 @@ def save_model(s: Interpolant, path):
         "centers": s.centers.points.tolist(),
         "input_dim": s.centers.d,
         "coeffs": s.coeffs.tolist(),
-        "solver_info": {
-            "path": s.solver_info["path"],
-            "residual": s.solver_info["residual"],
-            "rank_used": s.solver_info["rank_used"],
-        },
+        "solver_info": dict(s.solver_info),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -124,16 +124,22 @@ class PointSet:
     def min_separation(self) -> float:
         if self.n < 2:
             return np.inf
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
+        # squared distances summed one coordinate at a time into one n x n
+        # array; sqrt is monotone, so only the minimum needs it
+        sq = np.zeros((self.n, self.n))
+        for x in self.points.T:
+            diff = np.subtract.outer(x, x)
+            diff *= diff
+            sq += diff
+        np.fill_diagonal(sq, np.inf)
+        return float(np.sqrt(sq.min()))
 
     def assert_distinct(self):
-        if self.min_separation() <= DUP_TOL:
+        sep = self.min_separation()
+        if sep <= DUP_TOL:
             raise DuplicateCentersError(
                 f"points are not pairwise distinct (min separation "
-                f"{self.min_separation():.3e} <= {DUP_TOL:.1e})"
+                f"{sep:.3e} <= {DUP_TOL:.1e})"
             )
 
     def prefix(self, i) -> "PointSet":

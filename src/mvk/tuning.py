@@ -7,13 +7,14 @@ tie breaking.
 
 Every candidate is scored by fitting it with :func:`fit` (Cholesky, with
 the LU fallback for Gramians that fail to factor); a candidate whose fit
-raises counts as failed.  When the coefficient matrices have pairwise
-orthogonal products and their ranks add up to m, interpolation splits
-exactly into one independent problem per term, on the range of that
-term's coefficient.  Each term is then fitted once per grid value of its
-own group, and the squared validation residuals of the terms are summed
-by broadcasting to score every joint candidate.  Any other template is
-one block whose candidates are all fitted in full.
+raises counts as failed.  When the coefficients split per term
+(:func:`~mvk.decomposition.uncoupled_split`, the same test ``fit`` uses
+for its term-by-term route), interpolation splits exactly into one
+independent problem per term, on the range of that term's coefficient.
+Each term is then fitted once per grid value of its own group, and the
+squared validation residuals of the terms are summed by broadcasting to
+score every joint candidate.  Any other template is one block whose
+candidates are all fitted in full.
 
 Candidates whose errors differ only at roundoff level are ordered by that
 roundoff, so on a plateau of the objective the first-found argmin can
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import orthogonal_products
+from .decomposition import uncoupled_split
 from .interpolation import fit
 from .kernels import PointSet, ScalarKernel, SeparableKernel
-from .linalg import EIG_TOL, sym_eig
 
 log = logging.getLogger(__name__)
 
@@ -111,10 +111,19 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig):
     fc = np.asarray(target(cfg.centers.points), dtype=np.float64)
     fv = np.asarray(target(cfg.validation.points), dtype=np.float64)
 
+    # Each term of a split template is its own block, fitting the targets
+    # projected onto its range U with the coefficient diag(w) = U^T Q U;
+    # otherwise the whole template is one block with U = I.
+    split = uncoupled_split(template.coeffs)
+    if split is None:
+        blocks = [(template, np.eye(fc.shape[1]))]
+    else:
+        blocks = [(KernelTemplate((np.diag(w),), (g,)), U)
+                  for (U, w), g in zip(split, template.groups)]
     # the squared residuals of independent blocks add; each block's array
     # is broadcast along the groups it does not depend on
     total = np.zeros((len(grid),) * len(group_ids) + (cfg.validation.n,))
-    for block, U in _blocks(template):
+    for block, U in blocks:
         ids, sq = _block_sq_residuals(block, grid, cfg, fc @ U, fv @ U)
         axes = [len(grid) if g in ids else 1 for g in group_ids]
         total += sq.reshape(axes + [cfg.validation.n])
@@ -140,29 +149,6 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig):
         n_failed=n_failed,
         table=table,
     )
-
-
-def _blocks(template: KernelTemplate):
-    """Split the template into independent interpolation problems.
-
-    Returns a list of (sub-template, U): each block fits the targets
-    projected onto the orthonormal columns of U.  When the coefficients
-    have pairwise orthogonal products and their ranks add up to m, every
-    term is its own block, with its coefficient restricted to its range U
-    (so ``U^T Q U`` is the diagonal of its nonzero eigenvalues).  Otherwise
-    the whole template is one block with U = I.
-    """
-    Qs = [np.asarray(Q, float) for Q in template.coeffs]
-    m = Qs[0].shape[0]
-    if orthogonal_products(Qs):
-        blocks = []
-        for Q, g in zip(Qs, template.groups):
-            w, V = sym_eig(Q)
-            keep = w > EIG_TOL * max(1.0, abs(w[0]))
-            blocks.append((KernelTemplate((np.diag(w[keep]),), (g,)), V[:, keep]))
-        if sum(U.shape[1] for _, U in blocks) == m:
-            return blocks
-    return [(template, np.eye(m))]
 
 
 def _block_sq_residuals(template, grid, cfg, fc, fv):

@@ -199,12 +199,45 @@ def test_eval_bound_columns(tmp_path, capsys):
          "--bounds", "--residual-norm", "2.0"]
     ) == 0
     assert capsys.readouterr().out.rstrip().endswith(" bounds path=cholesky")
+    assert read_header(out)[-1] == "# solver: bounds path=cholesky"
     header, rows = read_csv(out)
     assert header[-3:] == ["delta1_two", "delta1_inf", "delta1_one"]
     for r in rows:
         d_two, d_inf, d_one = (float(v) for v in r[-3:])
         assert 0 <= d_inf <= d_two + 1e-12
         assert d_one == pytest.approx(np.sqrt(2) * d_two)
+
+
+def test_solver_route_in_outputs(tmp_path, capsys):
+    from mvk.kernels import ScalarKernel, SeparableKernel
+
+    # orthogonal rank-1 coefficients: fit solves one system per term
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    kernel = SeparableKernel.create([
+        (ScalarKernel.gaussian(2.0), 2.0 * np.outer(v, v)),
+        (ScalarKernel.gaussian(5.0), np.outer(u, u)),
+    ])
+    X = np.linspace(-1, 1, 6)[:, None]
+    F = np.stack([np.sin(X[:, 0]), X[:, 0] ** 2], axis=1)
+    data = write_data(tmp_path / "train.csv", X, F)
+    model = tmp_path / "model.json"
+    for kern, blocks in ((kernel, 2), (well_conditioned_kernel(), 1)):
+        kf = write_kernel(tmp_path / "k.json", kern)
+        main(["fit", "--data", data, "--kernel", kf, "--out-model", str(model)])
+        assert capsys.readouterr().out.rstrip().endswith(f", blocks={blocks})")
+        assert json.loads(model.read_text())["solver_info"]["blocks"] == blocks
+    # without --bounds there is no solver line
+    out = tmp_path / "pred.csv"
+    main(["eval", "--model", str(model), "--data", data, "--out-csv", str(out)])
+    assert not any(line.startswith("# solver:") for line in read_header(out))
+    # model files written without the field still load
+    doc = json.loads(model.read_text())
+    del doc["solver_info"]["blocks"]
+    model.write_text(json.dumps(doc))
+    out2 = tmp_path / "pred2.csv"
+    assert main(["eval", "--model", str(model), "--data", data, "--out-csv", str(out2)]) == 0
+    assert out2.read_bytes() == out.read_bytes()
 
 
 def test_fit_dimension_mismatch(tmp_path):

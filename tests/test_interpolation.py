@@ -12,7 +12,8 @@ from mvk.interpolation import (
     residual_norm_sq,
     save_model,
 )
-from mvk.kernels import PointSet, ScalarKernel, SeparableKernel
+from mvk.kernels import DuplicateCentersError, PointSet, ScalarKernel, SeparableKernel
+from mvk.linalg import symmetrize
 
 
 def gaussian_kernel(shapes=(1.0, 2.0)):
@@ -229,3 +230,76 @@ def test_coeff_blocks_layout():
     B = s.coeff_blocks()
     assert B.shape == (2, 2)
     assert np.array_equal(B.reshape(-1), s.coeffs)
+
+
+def uncoupled_kernel(shapes=(1.0, 2.0)):
+    # Q1 Q2 = 0 and rank Q1 + rank Q2 = 2: fit splits into two scalar solves
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    return SeparableKernel.create(
+        [
+            (ScalarKernel.gaussian(shapes[0]), 3.0 * np.outer(v, v)),
+            (ScalarKernel.gaussian(shapes[1]), 0.5 * np.outer(u, u)),
+        ]
+    )
+
+
+def test_split_fit_never_forms_the_gramian(monkeypatch):
+    X = PointSet(np.linspace(-1, 1, 8)[:, None])
+    F = np.random.default_rng(5).standard_normal((8, 2))
+    gramian = SeparableKernel.gramian
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the split route formed the block Gramian")
+
+    monkeypatch.setattr(SeparableKernel, "gramian", refuse)
+    s = fit(uncoupled_kernel(), X, F)
+    assert s.solver_info["blocks"] == 2
+    assert np.allclose(s.evaluate_many(X.points), F, atol=1e-10)
+
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return gramian(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeparableKernel, "gramian", counting)
+    s = fit(gaussian_kernel(), X, F)
+    assert len(calls) == 1
+    assert s.solver_info["blocks"] == 1
+
+
+def test_single_term_pd_coefficient_takes_the_split_route():
+    k = SeparableKernel.create(
+        [(ScalarKernel.gaussian(1.0), np.array([[2.0, 1.0], [1.0, 2.0]]))]
+    )
+    X = PointSet(np.linspace(-1, 1, 6)[:, None])
+    F = np.random.default_rng(6).standard_normal((6, 2))
+    s = fit(k, X, F)
+    assert s.solver_info["blocks"] == 1
+    # K^{-1} F Q^{-1}: the one-term block system (K kron Q) alpha = f
+    K = k.terms[0][0].cross(X.points, X.points)
+    ref = np.linalg.solve(K, F) @ np.linalg.inv(k.terms[0][1])
+    assert np.allclose(s.coeff_blocks(), ref, rtol=1e-8, atol=1e-10)
+
+
+def test_split_fit_rejects_duplicate_centers():
+    X = PointSet(np.array([[0.0], [0.5], [0.5]]))
+    with pytest.raises(DuplicateCentersError):
+        fit(uncoupled_kernel(), X, np.zeros((3, 2)))
+
+
+def test_split_fit_conditioning_error_names_the_failing_block():
+    # the wide second Gaussian on 40 close points does not factor; the
+    # first one does
+    k = uncoupled_kernel(shapes=(50.0, 0.05))
+    X = PointSet(np.linspace(-1, 1, 40)[:, None])
+    F = np.random.default_rng(7).standard_normal((40, 2))
+    K2 = symmetrize(k.terms[1][0].cross(X.points, X.points))
+    with pytest.raises(ConditioningError) as exc:
+        fit(k, X, F)
+    assert exc.value.lam_min == linalg.sym_eig(K2)[0][-1]
+    s = fit(k, X, F, fallback_to_pinv=True)
+    assert s.solver_info["path"] == "lu_fallback"
+    assert s.solver_info["blocks"] == 2
+    assert s.solver_info["rank_used"] == 80

@@ -70,6 +70,18 @@ def test_point_set_rejects_bad_input():
         PointSet([[np.inf, 0.0]])
 
 
+def test_min_separation_matches_pairwise_reference():
+    # the (n, n, d) broadcast it replaced; the coordinate sums run in the
+    # same order for d <= 8, so the values are equal
+    rng = np.random.default_rng(3)
+    for n, d in ((2, 1), (40, 1), (60, 2), (30, 3), (25, 8)):
+        pts = rng.uniform(-1, 1, (n, d))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        assert PointSet(pts).min_separation() == dist.min()
+
+
 def test_point_set_duplicates():
     P = PointSet([[0.0], [1e-13]])
     with pytest.raises(DuplicateCentersError):

@@ -2,8 +2,10 @@
 benchmark looks up in mvk exist.
 
 Only the pseudo-inverse cutoff is a parameter, because its callers need
-different values (example2 runs with 1e-8, ``eval --bounds`` with the
-1e-10 default).
+different values: example2 and acceptance criterion 4 pass 1e-8, while
+``eval --bounds`` and the other callers pass none, so that a strictly pd
+Gramian is factored by Cholesky without a cutoff and any other takes the
+pseudo-inverse at RANK_TOL (1e-10).
 """
 
 import ast

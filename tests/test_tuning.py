@@ -5,13 +5,13 @@ import pytest
 
 from mvk import tuning
 from mvk.builtin import covariance_eigenbasis
+from mvk.decomposition import uncoupled_split
 from mvk.interpolation import fit
 from mvk.kernels import PointSet
 from mvk.tuning import (
     GridSearchConfig,
     GridSearchError,
     KernelTemplate,
-    _blocks,
     select_shapes,
 )
 
@@ -85,16 +85,15 @@ def reference_table(template, cfg):
 
 
 def test_block_detection():
-    blocks = _blocks(diagonal_template())
-    assert [b.groups for b, _ in blocks] == [(0,), (1,)]
-    assert [U.shape for _, U in blocks] == [(2, 1), (2, 1)]
-    tpl = coupled_template()
-    (b, U), = _blocks(tpl)
-    assert b is tpl and np.array_equal(U, np.eye(2))
+    # select_shapes splits a template into per-term blocks exactly when
+    # uncoupled_split, the test fit shares, finds the split
+    (U0, w0), (U1, w1) = uncoupled_split(diagonal_template().coeffs)
+    assert np.array_equal(np.abs(U0), [[1.0], [0.0]])
+    assert np.array_equal(np.abs(U1), [[0.0], [1.0]])
+    assert w0.tolist() == w1.tolist() == [1.0]
+    assert uncoupled_split(coupled_template().coeffs) is None
     # rank-deficient coefficient sum: no exact split, one block
-    tpl = KernelTemplate(coeffs=(np.diag([1.0, 0.0]),), groups=(0,))
-    (b, U), = _blocks(tpl)
-    assert b is tpl and np.array_equal(U, np.eye(2))
+    assert uncoupled_split([np.diag([1.0, 0.0])]) is None
 
 
 def test_coupled_table_equals_reference():
