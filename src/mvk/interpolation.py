@@ -2,12 +2,12 @@
 
 The interpolant of data (X, f(X)) is s(x) = sum_i k(x, x_i) alpha_i where
 the stacked coefficient vector solves the block Gramian system
-k(X, X) alpha = f(X).  Strictly positive definite kernels go through a
-Cholesky factorization; merely positive definite kernels use the
-minimal-norm pseudo-inverse solution, whose eigendecomposition also gives
-the rank used.  Strictly positive definite kernels whose coefficients
-have pairwise orthogonal products (the paper's uncoupled decomposition)
-are fitted term by term, one n x n system each, without the block Gramian.
+k(X, X) alpha = f(X).  ``fit`` solves it block by block through
+``linalg._SymFactor``: Cholesky for strictly positive definite kernels,
+otherwise the minimal-norm pseudo-inverse solution.  A strictly pd kernel
+whose coefficients have pairwise orthogonal products (the paper's
+uncoupled decomposition) gives one n x n block per term, without the
+block Gramian; any other kernel gives the block Gramian as its one block.
 """
 
 import json
@@ -15,11 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .decomposition import uncoupled_split
 from .kernels import PointSet, SeparableKernel, _as_point
-from .linalg import PSD_TOL, _SymFactor, sym_eig, symmetrize
+from .linalg import PSD_TOL, ConditioningError, _SymFactor, symmetrize  # noqa: F401  fit raises it
 from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
 
 # Relative residual beyond which a Cholesky fit is flagged ill-conditioned.
@@ -27,14 +26,6 @@ LIN_TOL = 1e-8
 # Relative slack below zero tolerated in residual_norm_sq, on the scale of
 # max(1, ||f||^2), before it raises.
 RESIDUAL_TOL = 1e-8
-
-
-class ConditioningError(RuntimeError):
-    """Cholesky factorization failed on a strictly-pd-flagged kernel."""
-
-    def __init__(self, msg, lam_min=None):
-        super().__init__(msg)
-        self.lam_min = lam_min
 
 
 class KernelMismatchError(ValueError):
@@ -63,23 +54,22 @@ class Interpolant:
         return self.coeffs.reshape(self.centers.n, self.kernel.m)
 
 
-def fit(kernel, X, values, fallback_to_pinv=False):
+def fit(kernel, X, values, lu_fallback=False):
     """Fit the interpolant of ``values`` (an (n, m) array) on centers X.
 
     Strictly-pd kernels are solved by Cholesky; a factorization failure
     raises :class:`ConditioningError` with a lambda_min estimate unless
-    ``fallback_to_pinv`` is set, in which case an LU solve of the same
-    system is used (truncating tiny eigenvalues instead would put a floor
-    under the achievable interpolation error).  Kernels that are merely
-    positive definite take the minimal-norm pseudo-inverse solution.
+    ``lu_fallback`` is set, in which case an LU solve of the same system
+    is used (truncating tiny eigenvalues instead would put a floor under
+    the achievable interpolation error).  Kernels that are merely positive
+    definite take the minimal-norm pseudo-inverse solution.
 
-    A strictly-pd kernel whose coefficients split per term
+    Each block (U, w, A) gives B = A^{-1} (F U) diag(1/w) and adds B U^T
+    to the coefficients.  A strictly-pd kernel whose coefficients split
     (:func:`~mvk.decomposition.uncoupled_split`, Q_i = U_i diag(w_i) U_i^T)
-    is solved term by term without forming the block Gramian: with
-    K_i = k_i(X, X), each term gives B_i = K_i^{-1} (F U_i) diag(1/w_i),
-    and the coefficients are alpha = sum_i B_i U_i^T.  Because the U_i
-    together form an orthogonal matrix, the term residuals add up to the
-    residual of the full system.
+    has one block per term with A = k_i(X, X); because the U_i together
+    form an orthogonal matrix, the block residuals add up to the residual
+    of the full system.  Any other kernel is one block (I_m, 1, k(X, X)).
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if X.n == 0:
@@ -88,30 +78,23 @@ def fit(kernel, X, values, fallback_to_pinv=False):
     if values.shape != (X.n, kernel.m):
         raise ValueError(f"values must have shape ({X.n}, {kernel.m})")
     X.assert_distinct()
-    split = uncoupled_split(kernel.coefficients()) if kernel.strictly_pd else None
 
-    if split is None:
-        G = kernel.gramian(X, check_distinct=False)
-        rhs = values.reshape(-1)
-        alpha, path, rank_used = _solve(G, rhs, kernel.strictly_pd, fallback_to_pinv)
-        res_norm = np.linalg.norm(G @ alpha - rhs)
-        blocks = 1
-    else:
-        A = np.zeros((X.n, kernel.m))
-        res_sq, paths = 0.0, []
-        for (ks, _), (U, w) in zip(kernel.terms, split):
-            K = symmetrize(ks.cross(X.points, X.points))
-            FU = values @ U
-            B, route, _ = _solve(K, FU / w, True, fallback_to_pinv)
-            A += B @ U.T
-            res_sq += np.linalg.norm(K @ B * w - FU) ** 2
-            paths.append(route)
-        alpha, rank_used, blocks = A.reshape(-1), A.size, len(split)
-        res_norm = np.sqrt(res_sq)
-        path = "lu_fallback" if "lu_fallback" in paths else "cholesky"
+    alpha = np.zeros((X.n, kernel.m))
+    res_sq, rank_used, paths = 0.0, 0, []
+    for U, w, A in _blocks(kernel, X):
+        FU = values @ U
+        factor = _SymFactor(A, kernel.strictly_pd, "lu" if lu_fallback else "raise")
+        # (n, rank U) on a term's block, one stacked column on k(X, X)
+        B = factor.solve((FU / w).reshape(len(A), -1))
+        alpha += B.reshape(X.n, -1) @ U.T
+        res_sq += np.linalg.norm(A @ B * w - FU.reshape(B.shape)) ** 2
+        rank_used += factor.rank * B.shape[1]
+        paths.append(factor.path)
+        del A, factor  # free this block before the next one is built
+    path = "lu_fallback" if "lu_fallback" in paths else paths[0]
 
     scale = max(np.linalg.norm(values), 1e-300)
-    residual = float(res_norm / scale)
+    residual = float(np.sqrt(res_sq) / scale)
     if path == "cholesky" and residual > LIN_TOL:
         warnings.warn(
             f"ill-conditioned interpolation system: relative residual "
@@ -119,24 +102,19 @@ def fit(kernel, X, values, fallback_to_pinv=False):
             RuntimeWarning,
             stacklevel=2,
         )
-    return Interpolant(kernel, X, alpha, {
-        "path": path, "residual": residual, "rank_used": rank_used, "blocks": blocks})
+    return Interpolant(kernel, X, alpha.reshape(-1), {
+        "path": path, "residual": residual, "rank_used": rank_used,
+        "blocks": len(paths)})
 
 
-def _solve(G, rhs, strictly_pd, fallback_to_pinv):
-    """Solve G x = rhs for one symmetric system; returns (x, path, rank)."""
-    try:
-        factor = _SymFactor.cholesky(G) if strictly_pd else _SymFactor.eigh(G)
-    except LinAlgError:
-        if not fallback_to_pinv:
-            w, _ = sym_eig(G)
-            raise ConditioningError(
-                f"Cholesky failed on strictly-pd kernel "
-                f"(lambda_min estimate {w[-1]:.3e})",
-                lam_min=float(w[-1]),
-            ) from None
-        return np.linalg.solve(G, rhs), "lu_fallback", G.shape[0]
-    return factor.solve(rhs), factor.path, factor.rank
+def _blocks(kernel, X):
+    """The (U, w, A) blocks of ``fit``, each A built when it is reached."""
+    split = uncoupled_split(kernel.coefficients()) if kernel.strictly_pd else None
+    if split is None:
+        yield np.eye(kernel.m), 1.0, kernel.gramian(X, check_distinct=False)
+        return
+    for (ks, _), (U, w) in zip(kernel.terms, split):
+        yield U, w, symmetrize(ks.cross(X.points, X.points))
 
 
 @dataclass(frozen=True)

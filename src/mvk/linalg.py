@@ -3,12 +3,14 @@
 All matrices handled here are real symmetric.  The pseudo-inverse is taken
 through the symmetric eigendecomposition rather than an SVD, so that the
 result is symmetric by spectral reconstruction.  ``_SymFactor`` is the one
-factorization behind interpolation and the power-function: Cholesky for
-positive definite matrices, otherwise one eigendecomposition.
+factorization behind interpolation and the power-function; its constructor
+alone picks the route and what happens when Cholesky fails.
 """
 
+import warnings
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 # Relative tolerance for accepting a matrix as symmetric.
 SYM_TOL = 1e-12
@@ -24,6 +26,14 @@ ZERO_FLOOR = 1e-14
 
 class EigenSolverError(RuntimeError):
     """Raised when the symmetric eigensolver fails to converge."""
+
+
+class ConditioningError(RuntimeError):
+    """Cholesky factorization failed on a strictly-pd-flagged kernel."""
+
+    def __init__(self, msg, lam_min=None):
+        super().__init__(msg)
+        self.lam_min = lam_min
 
 
 def symmetrize(A):
@@ -91,43 +101,62 @@ def rank_of(A):
 class _SymFactor:
     """A symmetric positive semi-definite matrix A, factored once.
 
-    ``path`` names the route:
+    The constructor picks the route: Cholesky (``path`` ``"cholesky"``)
+    when ``strictly_pd`` is set, otherwise one eigendecomposition whose
+    eigenvalues above RANK_TOL times the largest give the pseudo-inverse
+    (``"pseudo_inverse"``).  When Cholesky fails, ``on_failure`` decides:
+    ``"raise"`` raises :class:`ConditioningError` with lambda_min, ``"lu"``
+    solves A by LU (``"lu_fallback"``) and ``"eigh"`` warns with lambda_min
+    and takes the eigendecomposition.
 
-    - ``"cholesky"``: A = L L^T; ``solve`` applies A^{-1}.
-    - ``"pseudo_inverse"``: one eigendecomposition; ``solve`` applies A^+,
-      the eigenvalues at or below the cutoff dropped.
-
-    ``rank`` counts the eigenvalues kept and ``lam_min`` is the smallest
-    eigenvalue; both are None for a pseudo-inverse passed in directly
-    (``_SymFactor("pseudo_inverse", pinv_sym(A, rank_tol))``), and
-    ``lam_min`` is None on the Cholesky route.
+    ``rank`` counts the eigenvalues kept (the order of A on the other
+    routes) and ``lam_min`` is the smallest one; it is None where no
+    eigendecomposition was taken, and both are None for ``from_pinv``.
     """
 
-    def __init__(self, path, M, rank=None, lam_min=None):
-        self.path = path
-        self._M = M  # lower Cholesky factor L, or the pseudo-inverse A^+
-        self.rank = rank
-        self.lam_min = lam_min
-
-    @classmethod
-    def cholesky(cls, A):
-        """Cholesky route; raises scipy.linalg.LinAlgError if A does not factor."""
-        L, _ = cho_factor(A, lower=True)
-        return cls("cholesky", L, rank=A.shape[0])
-
-    @classmethod
-    def eigh(cls, A):
-        """Pseudo-inverse route at the cutoff RANK_TOL, from one ``sym_eig``."""
-        w, V = sym_eig(A)
+    def __init__(self, A, strictly_pd, on_failure):
+        self.rank, self.lam_min = A.shape[0], None
+        if strictly_pd:
+            try:
+                self.path, self._M = "cholesky", cho_factor(A, lower=True)[0]
+                return
+            except LinAlgError:
+                if on_failure == "lu":
+                    self.path, self._M = "lu_fallback", A
+                    return
+                w, V = sym_eig(A)
+                if on_failure == "raise":
+                    raise ConditioningError(
+                        f"Cholesky failed on strictly-pd kernel "
+                        f"(lambda_min estimate {w[-1]:.3e})",
+                        lam_min=float(w[-1]),
+                    ) from None
+                warnings.warn(
+                    f"Cholesky failed on the Gramian of a strictly pd kernel "
+                    f"(lambda_min {w[-1]:.3e}); using the pseudo-inverse",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        else:
+            w, V = sym_eig(A)
         kept = _kept(w)
-        lam_min = float(w[-1]) if w.size else 0.0
-        return cls("pseudo_inverse", _pinv_from_eig(w, V, kept),
-                   rank=int(np.count_nonzero(kept)), lam_min=lam_min)
+        self.path, self._M = "pseudo_inverse", _pinv_from_eig(w, V, kept)
+        self.rank = int(np.count_nonzero(kept))
+        self.lam_min = float(w[-1]) if w.size else 0.0
+
+    @classmethod
+    def from_pinv(cls, P):
+        """Wrap a pseudo-inverse taken at another cutoff (``pinv_sym``)."""
+        self = cls.__new__(cls)
+        self.path, self._M, self.rank, self.lam_min = "pseudo_inverse", P, None, None
+        return self
 
     def solve(self, B):
-        """A^{-1} B on the Cholesky route, A^+ B on the pseudo-inverse route."""
+        """A^{-1} B, or A^+ B on the pseudo-inverse route."""
         if self.path == "cholesky":
             return cho_solve((self._M, True), B)
+        if self.path == "lu_fallback":
+            return np.linalg.solve(self._M, B)
         return self._M @ B
 
     def inner(self, C):
@@ -135,6 +164,7 @@ class _SymFactor:
 
         On the Cholesky route this is W_q^T W_q with W = L^{-1} C^T, one
         triangular solve over the flat (q m, N) array; ``C`` is overwritten.
+        Not for the LU route, which only ``fit`` takes.
         """
         Cf = C.reshape(-1, C.shape[2])
         if self.path == "cholesky":

@@ -10,22 +10,21 @@ alpha^T (k(x, x) - k_N(x, x)) alpha.  The deficiency matrix
 D(x) = k(x, x) - k_N(x, x) also drives the pointwise error bounds in the
 2-, infinity- and 1-norm.
 
-``PowerEvaluator`` factors the Gramian G = k(X, X) once.  For a strictly
-positive definite kernel G^+ = G^{-1}, and a Cholesky factor G = L L^T
-gives k_N(x, x) = W^T W with W = L^{-1} k(X, x), with no eigenvalue
-cutoff.  Otherwise, or when Cholesky fails, one eigendecomposition gives
-the pseudo-inverse.
+``PowerEvaluator`` factors the Gramian G = k(X, X) once, through
+``linalg._SymFactor``, which picks the route.  For a strictly positive
+definite kernel G^+ = G^{-1}, and a Cholesky factor G = L L^T gives
+k_N(x, x) = W^T W with W = L^{-1} k(X, x), with no eigenvalue cutoff.
+Otherwise one eigendecomposition gives the pseudo-inverse; a strictly pd
+kernel whose Gramian fails Cholesky takes it too, with a warning.
 
 ``PowerEvaluator.deficiency_many`` is the one routine that computes D(x);
 the power-function, the bound factors, the error bounds and the scalar
 power-function (the m = 1 kernel ``k_s * [[1]]``) all read it.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .kernels import PointSet, ScalarKernel, SeparableKernel
 from .linalg import PSD_TOL, _SymFactor, pinv_sym
@@ -58,20 +57,9 @@ class PowerEvaluator:
         """
         G = kernel.gramian(centers)
         if rank_tol is not None:
-            factor = _SymFactor("pseudo_inverse", pinv_sym(G, rank_tol))
-        elif not kernel.strictly_pd:
-            factor = _SymFactor.eigh(G)
+            factor = _SymFactor.from_pinv(pinv_sym(G, rank_tol))
         else:
-            try:
-                factor = _SymFactor.cholesky(G)
-            except LinAlgError:
-                factor = _SymFactor.eigh(G)
-                warnings.warn(
-                    f"Cholesky failed on the Gramian of a strictly pd kernel "
-                    f"(lambda_min {factor.lam_min:.3e}); using the pseudo-inverse",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            factor = _SymFactor(G, kernel.strictly_pd, "eigh")
         return cls(kernel, centers, factor)
 
     @property
@@ -149,8 +137,12 @@ def scalar_power_sq(ks: ScalarKernel, X: PointSet, x):
     Raises DuplicateCentersError when X has (near-)duplicate points and,
     like ``PowerEvaluator.power_sq``, PowerBreakdownError.
     """
-    kernel = SeparableKernel.create([(ks, [[1.0]])])
-    return PowerEvaluator.build(kernel, X).power_sq(x, [1.0])
+    return _scalar_evaluator(ks, X).power_sq(x, [1.0])
+
+
+def _scalar_evaluator(ks, X):
+    """``PowerEvaluator`` of the m = 1 kernel ``ks * [[1]]`` on X."""
+    return PowerEvaluator.build(SeparableKernel.create([(ks, [[1.0]])]), X)
 
 
 def power_additivity_check(kernel: SeparableKernel, X: PointSet, samples):
@@ -165,13 +157,11 @@ def power_additivity_check(kernel: SeparableKernel, X: PointSet, samples):
     if kernel.p < 2:
         raise ValueError("additivity check needs a decomposition with >= 2 terms")
     pe = PowerEvaluator.build(kernel, X)
+    terms = [(_scalar_evaluator(ks, X), Q) for ks, Q in kernel.terms]
     reports = []
     for x, alpha in samples:
         alpha = np.asarray(alpha, dtype=np.float64)
-        parts = [
-            scalar_power_sq(ks, X, x) * float(alpha @ Q @ alpha)
-            for ks, Q in kernel.terms
-        ]
+        parts = [te.power_sq(x, [1.0]) * float(alpha @ Q @ alpha) for te, Q in terms]
         whole = pe.power_sq(x, alpha)
         total = float(sum(parts))
         reports.append(

@@ -164,7 +164,7 @@ def _block_sq_residuals(template, grid, cfg, fc, fv):
     for c, combo in enumerate(itertools.product(range(len(grid)), repeat=len(ids))):
         kernel = template.instantiate({g: grid[i] for g, i in zip(ids, combo)})
         try:
-            s = fit(kernel, cfg.centers, fc, fallback_to_pinv=True)
+            s = fit(kernel, cfg.centers, fc, lu_fallback=True)
         except np.linalg.LinAlgError:
             continue
         out[combo] = np.sum((s.evaluate_many(cfg.validation.points) - fv) ** 2, axis=1)

@@ -114,7 +114,7 @@ def test_fit_conditioning_error_and_fallback():
     with pytest.raises(ConditioningError) as exc:
         fit(k, X, F)
     assert exc.value.lam_min is not None
-    s = fit(k, X, F, fallback_to_pinv=True)
+    s = fit(k, X, F, lu_fallback=True)
     assert s.solver_info["path"] == "lu_fallback"
     assert s.coeffs.shape == (80,)
 
@@ -299,7 +299,7 @@ def test_split_fit_conditioning_error_names_the_failing_block():
     with pytest.raises(ConditioningError) as exc:
         fit(k, X, F)
     assert exc.value.lam_min == linalg.sym_eig(K2)[0][-1]
-    s = fit(k, X, F, fallback_to_pinv=True)
+    s = fit(k, X, F, lu_fallback=True)
     assert s.solver_info["path"] == "lu_fallback"
     assert s.solver_info["blocks"] == 2
     assert s.solver_info["rank_used"] == 80

@@ -187,6 +187,29 @@ def test_additivity_gap_for_coupled():
     assert sum(rep["gap"] > 1e-6 for rep in reports) > len(reports) / 2
 
 
+def test_additivity_builds_each_evaluator_once(monkeypatch):
+    # one evaluator for the kernel and one per term, whatever the samples
+    k = coupled_kernel()
+    X = PointSet(np.linspace(-1, 1, 5)[:, None])
+    rng = np.random.default_rng(6)
+    samples = [(rng.uniform(-1, 1, 1), rng.standard_normal(2)) for _ in range(6)]
+    expected = [
+        sum(scalar_power_sq(ks, X, x) * float(a @ Q @ a) for ks, Q in k.terms)
+        for x, a in samples
+    ]
+    calls = []
+    build = PowerEvaluator.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PowerEvaluator, "build", classmethod(counting))
+    reports = power_additivity_check(k, X, samples)
+    assert len(calls) == k.p + 1
+    assert [rep["sum_of_parts"] for rep in reports] == expected
+
+
 def test_additivity_requires_two_terms():
     k = SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.eye(2))])
     with pytest.raises(ValueError):
@@ -228,6 +251,8 @@ def test_build_warns_when_cholesky_fails():
     # 20 centers in [0, 0.5] make the Gaussian Gramian numerically singular
     k = SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.eye(1))])
     X = PointSet(np.linspace(0, 0.5, 20)[:, None])
-    with pytest.warns(RuntimeWarning, match="lambda_min"):
+    with pytest.warns(RuntimeWarning, match="lambda_min") as record:
         pe = PowerEvaluator.build(k, X)
     assert pe.path == "pseudo_inverse"
+    # the warning points at the caller of build
+    assert record[0].filename == __file__

@@ -1,5 +1,5 @@
-"""Tolerances are module constants, not parameters, and the names the
-benchmark looks up in mvk exist.
+"""Tolerances are module constants, not parameters, the names the
+benchmark looks up in mvk exist, and only ``linalg`` factors or solves.
 
 Only the pseudo-inverse cutoff is a parameter, because its callers need
 different values: example2 and acceptance criterion 4 pass 1e-8, while
@@ -85,3 +85,32 @@ def test_benchmark_hooks_resolve():
         "linalg.pinv_sym"
     )
     assert callable(_resolve("backends.backend_name"))
+
+
+# Factorizations and solves that only linalg.py may call, so that every
+# route and every policy for a failed Cholesky stays in ``_SymFactor``.
+SOLVER_NAMES = {"cho_factor", "cho_solve", "solve_triangular", "lu_factor"}
+
+
+def _solver_uses(path):
+    """Solver names a module refers to; ``np.linalg.solve`` as ``linalg.solve``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.alias) and node.name in SOLVER_NAMES:
+            yield node.name
+        elif isinstance(node, ast.Name) and node.id in SOLVER_NAMES:
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            if node.attr in SOLVER_NAMES:
+                yield node.attr
+            elif node.attr == "solve" and getattr(node.value, "attr", None) == "linalg":
+                yield "linalg.solve"
+
+
+def test_only_linalg_solves():
+    src = Path(mvk.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "linalg.py":
+            assert not set(_solver_uses(path)), path.name
+    # both spellings are detected where they are allowed
+    assert {"cho_factor", "linalg.solve"} <= set(_solver_uses(src / "linalg.py"))
+    assert _resolve("interpolation.ConditioningError") is _resolve("linalg.ConditioningError")

@@ -75,7 +75,7 @@ def reference_table(template, cfg):
     for combo in itertools.product(grid, repeat=len(groups)):
         kernel = template.instantiate(dict(zip(groups, combo)))
         try:
-            s = fit(kernel, cfg.centers, fc, fallback_to_pinv=True)
+            s = fit(kernel, cfg.centers, fc, lu_fallback=True)
         except np.linalg.LinAlgError:
             rows.append([*combo, np.nan])
             continue
