@@ -396,11 +396,8 @@ def cmd_eval(args):
             f"error: points have dimension {d}, model expects {s.centers.d}"
         )
     eff = {"seed": None, "model": Path(args.model).name, "bounds": bool(args.bounds)}
-    pred = s.evaluate_many(X)
     columns = [f"x_{j+1}" for j in range(d)] + [f"s_{j+1}" for j in range(s.kernel.m)]
-    rows = [
-        [float(v) for v in np.concatenate([X[i], pred[i]])] for i in range(len(X))
-    ]
+    data = [X, s.evaluate_many(X)]
     header = _header("eval", eff)
     bounds_note = ""
     if args.bounds:
@@ -409,11 +406,8 @@ def cmd_eval(args):
         header.append(f"# solver: bounds path={pe.path}")
         factors = pe.bound_factors(X)
         columns += ["delta1_two", "delta1_inf", "delta1_one"]
-        for i in range(len(X)):
-            rows[i] += [
-                float(factors[k][i] * args.residual_norm) for k in ("two", "inf", "one")
-            ]
-    _write_csv(args.out_csv, header, columns, rows)
+        data += [factors[k] * args.residual_norm for k in ("two", "inf", "one")]
+    _write_csv(args.out_csv, header, columns, np.column_stack(data).tolist())
     print(f"eval: wrote {args.out_csv}{bounds_note}")
     return 0
 

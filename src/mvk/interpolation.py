@@ -113,8 +113,11 @@ def _blocks(kernel, X):
     if split is None:
         yield np.eye(kernel.m), 1.0, kernel.gramian(X, check_distinct=False)
         return
-    for (ks, _), (U, w) in zip(kernel.terms, split):
-        yield U, w, symmetrize(ks.cross(X.points, X.points))
+    # No name here (nor zip's reused result tuple) may hold a term's matrix
+    # while fit solves its block: the shared distances already take one.
+    terms = kernel._term_matrices(X.points, X.points)
+    for U, w in split:
+        yield U, w, symmetrize(next(terms)[0])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ with scalar kernels ``k_i`` and symmetric m x m coefficient matrices
 per-term scalar matrices ``k_i(X, Y)``: the Gramian and the batched cross
 blocks come from one block assembly (``SeparableKernel._blocks``), and
 interpolants are evaluated term by term without forming the block matrix
-at all.
+at all.  All of them, and the term-by-term fit, take the per-term matrices
+from one generator (``SeparableKernel._term_matrices``), which computes one
+squared-distance matrix per point pair and shares it among the Gaussian
+terms.
 """
 
 from dataclasses import dataclass, field
@@ -225,14 +228,36 @@ class SeparableKernel:
             return self(x, x)
         return sum(ks.diag(x)[:, None, None] * Q for ks, Q in self.terms)
 
+    def _term_matrices(self, Xa, Xb):
+        """Yield (k_i(Xa, Xb), Q_i) in term order, each matrix a new array.
+
+        The Gaussian terms share one squared-distance matrix, and the last
+        of them is exponentiated into it; polynomial terms are built by
+        their scalar kernel.
+        """
+        gaussian = [i for i, (ks, _) in enumerate(self.terms) if ks.kind == "gaussian"]
+        d2 = backends._sq_dists(Xa, Xb) if gaussian else None
+        for i, (ks, Q) in enumerate(self.terms):
+            if i not in gaussian:
+                yield ks.cross(Xa, Xb), Q
+            else:
+                out = d2 if i == gaussian[-1] else None
+                yield backends._gaussian(d2, ks.shape, out=out), Q
+
     def _blocks(self, Xa, Xb):
         """sum_i kron(k_i(Xa, Xb), Q_i) laid out as an (na, m, nb, m) array."""
         # Summed as (m, m, na, nb), whose inner loops run over the long
         # point axis, then copied once into block layout; broadcasting into
-        # the block layout directly runs inner loops of length m.
+        # the block layout directly runs inner loops of length m.  Each
+        # Q[a, b] K product goes through one reused (na, nb) buffer.
         S = np.zeros((self.m, self.m, len(Xa), len(Xb)))
-        for ks, Q in self.terms:
-            S += Q[:, :, None, None] * ks.cross(Xa, Xb)
+        buf = np.empty((len(Xa), len(Xb)))
+        for K, Q in self._term_matrices(Xa, Xb):
+            for a in range(self.m):
+                for b in range(self.m):
+                    S[a, b] += np.multiply(K, Q[a, b], out=buf)
+            del K  # free this term's matrix before the next one is built
+        del buf  # nor hold the buffer through the copy, the peak of this call
         return S.transpose(2, 0, 3, 1).copy()
 
     def gramian(self, X: PointSet, check_distinct=True):
@@ -259,8 +284,9 @@ class SeparableKernel:
         if X.n == 0:
             return out
         A = np.asarray(A, dtype=np.float64).reshape(X.n, self.m)
-        for ks, Q in self.terms:
-            out += ks.cross(Xq, X.points) @ (A @ Q)
+        for K, Q in self._term_matrices(Xq, X.points):
+            out += K @ (A @ Q)
+            del K  # free this term's matrix before the next one is built
         return out
 
     def coefficients(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvk import interpolation, linalg
+from mvk import backends, interpolation, linalg
 from mvk.interpolation import (
     ConditioningError,
     KernelMismatchError,
@@ -303,3 +303,37 @@ def test_split_fit_conditioning_error_names_the_failing_block():
     assert s.solver_info["path"] == "lu_fallback"
     assert s.solver_info["blocks"] == 2
     assert s.solver_info["rank_used"] == 80
+
+
+def test_split_fit_shares_one_distance_matrix(monkeypatch):
+    # three Gaussian terms along the columns of an orthogonal matrix
+    U, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
+    k = SeparableKernel.create(
+        [(ScalarKernel.gaussian(s), w * np.outer(u, u))
+         for s, w, u in zip((2.0, 5.0, 10.0), (3.0, 1.0, 0.5), U.T)]
+    )
+    rng = np.random.default_rng(9)
+    X = PointSet(rng.uniform(-1, 1, (12, 2)))
+    F = rng.standard_normal((12, 3))
+
+    def per_term(self, Xa, Xb):
+        for ks, Q in self.terms:
+            yield ks.cross(Xa, Xb), Q
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SeparableKernel, "_term_matrices", per_term)
+        ref = fit(k, X, F)
+
+    calls = []
+    sq_dists = backends._sq_dists
+
+    def counting(Xa, Xb):
+        calls.append(1)
+        return sq_dists(Xa, Xb)
+
+    monkeypatch.setattr(backends, "_sq_dists", counting)
+    s = fit(k, X, F)
+    assert len(calls) == 1
+    assert s.solver_info["blocks"] == 3
+    assert np.array_equal(s.coeffs, ref.coeffs)
+    assert s.solver_info == ref.solver_info

@@ -7,7 +7,7 @@ from mvk.kernels import (
     ScalarKernel,
     SeparableKernel,
 )
-from mvk import linalg
+from mvk import backends, linalg
 from mvk.linalg import sym_eig
 
 
@@ -213,3 +213,57 @@ def test_serialization_roundtrip():
         assert a_ks == b_ks
         assert np.array_equal(a_Q, b_Q)
     assert k2.strictly_pd == k.strictly_pd
+
+
+def mixed_kernel():
+    # a polynomial term between two Gaussian ones, which share one
+    # squared-distance matrix
+    return SeparableKernel.create(
+        [
+            (ScalarKernel.gaussian(1.5), np.array([[2.0, 1.0], [1.0, 2.0]])),
+            (ScalarKernel.polynomial(2), np.array([[1.0, 0.0], [0.0, 0.5]])),
+            (ScalarKernel.gaussian(4.0), np.array([[0.5, -0.2], [-0.2, 1.0]])),
+        ]
+    )
+
+
+def test_shared_distances_match_per_term_cross():
+    k = mixed_kernel()
+    rng = np.random.default_rng(11)
+    X = PointSet(rng.uniform(-1, 1, (9, 2)))
+    Xq = rng.uniform(-1, 1, (13, 2))
+    A = rng.standard_normal((9, 2))
+    # references from each term's own kernel matrix, summed in term order
+    G_ref = linalg.symmetrize(
+        sum(np.kron(ks.cross(X.points, X.points), Q) for ks, Q in k.terms)
+    )
+    C_ref = sum(np.kron(ks.cross(Xq, X.points), Q) for ks, Q in k.terms)
+    apply_ref = sum(ks.cross(Xq, X.points) @ (A @ Q) for ks, Q in k.terms)
+    assert np.array_equal(k.gramian(X), G_ref)
+    assert np.array_equal(k.cross_many(Xq, X), C_ref.reshape(13, 2, 18))
+    assert np.array_equal(k.apply(Xq, X, A), apply_ref)
+
+
+@pytest.mark.parametrize("op", ["apply", "gramian", "cross_many"])
+def test_gaussian_terms_compute_distances_once(monkeypatch, op):
+    k = SeparableKernel.create(
+        [(ScalarKernel.gaussian(s), np.eye(2) * s) for s in (1.0, 2.0, 4.0)]
+    )
+    rng = np.random.default_rng(12)
+    X = PointSet(rng.uniform(-1, 1, (6, 2)))
+    Xq = rng.uniform(-1, 1, (5, 2))
+    calls = []
+    sq_dists = backends._sq_dists
+
+    def counting(Xa, Xb):
+        calls.append(1)
+        return sq_dists(Xa, Xb)
+
+    monkeypatch.setattr(backends, "_sq_dists", counting)
+    if op == "apply":
+        k.apply(Xq, X, rng.standard_normal((6, 2)))
+    elif op == "gramian":
+        k.gramian(X)
+    else:
+        k.cross_many(Xq, X)
+    assert len(calls) == 1
