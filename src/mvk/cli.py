@@ -44,10 +44,10 @@ from .power import PowerEvaluator
 EXAMPLE2_SITES = 5
 # example2 test points: a regular grid with this many values per axis.
 EXAMPLE2_TEST_GRID = 20
-# Pseudo-inverse cutoff of example2, deliberately coarser than RANK_TOL:
-# the pseudo-inverse noise scales like eps / cutoff, and with a 1e-10
-# cutoff it swamps the deficiency matrix once the Gramian is numerically
-# rank-deficient at large center counts.
+# Pseudo-inverse cutoff of example2's scalar blocks, deliberately coarser
+# than RANK_TOL: the pseudo-inverse noise scales like eps / cutoff, and with
+# a 1e-10 cutoff it swamps the deficiency matrix once a block's Gramian is
+# numerically rank-deficient at large center counts.
 EXAMPLE2_RANK_TOL = 1e-8
 
 
@@ -72,14 +72,27 @@ def _header(command, cfg):
 
 
 def _write_csv(path, header, columns, rows):
+    """Header lines, the column names and one CSV line per row.
+
+    Each row is written as ``fmt % row`` with one format string per table,
+    made from the first row: ``%d`` for an int and ``%.17g`` for a float.
+    A row with a None in it is written field by field, None as an empty
+    field.  Lines end in ``\r\n``, as csv writes them.
+    """
     with open(path, "w", newline="") as fh:
         for line in header:
             fh.write(line + "\n")
-        w = csv.writer(fh)
-        w.writerow(columns)
+        csv.writer(fh).writerow(columns)
+        fmt = None
         for row in rows:
-            w.writerow(["" if v is None else _fmt(v) if isinstance(v, float) else v
-                        for v in row])
+            row = tuple(row)
+            if fmt is None:
+                fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in row) + "\r\n"
+            try:
+                fh.write(fmt % row)
+            except TypeError:
+                fh.write(",".join("" if v is None else _fmt(v) if isinstance(v, float)
+                                  else str(v) for v in row) + "\r\n")
 
 
 def _write_text(path, command, cfg, lines):
@@ -132,7 +145,7 @@ def cmd_example1(args):
         }
         for name, res in results.items():
             cols = [f"shape_g{g}" for g in sorted(res.shapes)]
-            rows = [[i] + r for i, r in enumerate(res.table.tolist())]
+            rows = ((i, *r) for i, r in enumerate(res.table.tolist()))
             _write_csv(
                 out / f"tuning_{name}.csv",
                 _header("example1", eff),
@@ -178,8 +191,10 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
     """Core computation behind the example2 subcommand.
 
     Returns per-prefix records and the per-point arrays needed by the
-    validity checks (errors and bounds at every test point).  The
-    pseudo-inverses use EXAMPLE2_RANK_TOL.
+    validity checks (errors and bounds at every test point).  The kernel
+    splits by congruence into three scalar kernels, and each prefix takes
+    the pseudo-inverse of each of their Gramians at EXAMPLE2_RANK_TOL;
+    ``solver_info`` records the path and the number of blocks.
     """
     kernel = builtin.example2_kernel()
     lo, hi = builtin.EXAMPLE2_DOMAIN
@@ -202,7 +217,8 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
         Xi = centers.prefix(i)
         pe = PowerEvaluator.build(kernel, Xi, rank_tol=EXAMPLE2_RANK_TOL)
         alpha = pe.solve(f.evaluate_many(Xi.points).reshape(-1))
-        s = Interpolant(kernel, Xi, alpha, {"path": pe.path, "blocks": 1})
+        s = Interpolant(kernel, Xi, alpha,
+                        {"path": pe.path, "blocks": len(pe.factors)})
         r_norm = float(np.sqrt(residual_norm_sq(f, s)))
         r_norm = min(r_norm, f_norm)
 
@@ -216,6 +232,7 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
         records.append(
             {
                 "i": i,
+                "solver_info": s.solver_info,
                 "residual_norm": r_norm,
                 "f_norm": f_norm,
                 "errors": errs,

@@ -1,8 +1,8 @@
 """Structural analysis of separable kernel decompositions.
 
-Covers the uncoupledness rank arithmetic, the per-term split of kernels
-whose coefficients have orthogonal products (shared by ``fit`` and shape
-tuning), linear-independence certificates
+Covers the uncoupledness rank arithmetic, the congruence split of
+coefficient families whose whitened members commute (shared by ``fit``,
+``PowerEvaluator`` and shape tuning), linear-independence certificates
 for coefficients and scalar kernels, simultaneous diagonalization of
 commuting symmetric families, and recovery of the orthogonal-coefficient
 decomposition from sampled kernel values.
@@ -77,28 +77,93 @@ def orthogonal_products(Qs):
     )
 
 
-def uncoupled_split(Qs):
-    """Per-term ranges of coefficients that split interpolation exactly.
+@dataclass(frozen=True)
+class CongruenceSplit:
+    """A congruence T with T Q_i T^T = diag(lam_i) for every coefficient Q_i.
 
-    When the products Q_i Q_j (i != j) vanish and the ranks of the Q_i add
-    up to m, the ranges of the Q_i are mutually orthogonal and span R^m, so
-    the interpolation problem splits into one independent problem per term
-    on the range of its coefficient.  Returns a list of ``(U_i, w_i)``: the
-    orthonormal columns U_i spanning the range of Q_i and its kept
-    eigenvalues w_i (those above EIG_TOL * max(1, |w_0|)), so that
-    Q_i = U_i diag(w_i) U_i^T.  Returns None when there is no such split.
+    ``T_inv`` is T^-1.  ``groups[g]`` holds the directions (rows of T) whose
+    lambda columns are equal, and ``lam[i, g]`` is that column's entry for
+    term i: the directions of group g share the scalar kernel
+    sum_i lam[i, g] k_i.  Groups are ordered by the last term they use, so
+    summing the terms in order completes them in order.
+    """
+
+    T: np.ndarray
+    T_inv: np.ndarray
+    groups: tuple
+    lam: np.ndarray  # shape (p, len(groups))
+
+
+def congruence_split(Qs):
+    """Split a coefficient family by one congruence, or return None.
+
+    With S = (sum_i Q_i)^(-1/2) the whitened coefficients Lambda_i =
+    S Q_i S sum to the identity.  When they commute, one orthogonal P
+    diagonalizes them all (:func:`simultaneous_diagonalize`), and
+    T = P^T S makes every T Q_i T^T diagonal; T^-1 = (sum_i Q_i)^(1/2) P
+    comes from the same eigendecomposition.  The diagonals lam_ij =
+    (T Q_i T^T)_jj of PSD coefficients are nonnegative and each column
+    sums to one, so direction j carries the convex combination
+    sum_i lam_ij k_i of the scalar kernels.  Entries up to EIG_TOL are
+    zero and columns within EIG_TOL of each other form one group.
+
+    Coefficients with pairwise orthogonal products (the paper's uncoupled
+    kernels) split with one group per term; any two coefficients with a
+    positive definite sum split.  Returns None when the sum is not
+    positive definite, the whitened coefficients do not commute, or some
+    lam_ij is negative.
     """
     Qs = [np.asarray(Q, dtype=np.float64) for Q in Qs]
-    if not orthogonal_products(Qs):
+    s, V = sym_eig(sum(Qs))
+    if not s[-1] > EIG_TOL * max(1.0, s[0]):
         return None
-    split = []
-    for Q in Qs:
-        w, V = sym_eig(Q)
-        keep = w > EIG_TOL * max(1.0, abs(w[0]))
-        split.append((V[:, keep], w[keep]))
-    if sum(U.shape[1] for U, _ in split) != Qs[0].shape[0]:
+    S = (V / np.sqrt(s)) @ V.T
+    Ls = [S @ Q @ S for Q in Qs]
+    if not commuting_family_check(Ls):
         return None
-    return split
+    try:
+        P = simultaneous_diagonalize(Ls)
+    except NotCommutingError:
+        return None
+    lam = np.array([np.diag(P.T @ L @ P) for L in Ls])
+    if np.any(lam < -EIG_TOL):
+        return None
+    lam[lam <= EIG_TOL] = 0.0
+    groups, cols = [], []
+    for j in range(lam.shape[1]):
+        for grp, col in zip(groups, cols):
+            if np.max(np.abs(lam[:, j] - col)) <= EIG_TOL:
+                grp.append(j)
+                break
+        else:
+            groups.append([j])
+            cols.append(lam[:, j])
+    # P comes from one combination sum_i w_i Lambda_i, whose eigenvalues for
+    # two groups differ by sum_i w_i (lam_ia - lam_ib); the differences sum
+    # to zero, so that can nearly cancel and leave the two groups mixed far
+    # above roundoff.  One sweep re-splits each pair of groups by the
+    # Lambda_i that separates them most.
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            J = groups[a] + groups[b]
+            i = np.argmax(np.abs(cols[a] - cols[b]))
+            w, U = sym_eig(P[:, J].T @ Ls[i] @ P[:, J])
+            P[:, J] = P[:, J] @ U[:, np.argsort(np.abs(w - cols[a][i]), kind="stable")]
+    T = P.T @ S
+    lam = np.einsum("ja,iab,jb->ij", T, Qs, T)
+    lam[lam <= EIG_TOL] = 0.0
+    # each group's kernel is the sum of its columns scaled to sum to one,
+    # so the weight of a one-term kernel is exactly 1
+    lam = np.column_stack([lam[:, g].sum(axis=1) for g in groups])
+    lam /= lam.sum(axis=0)
+    order = np.argsort([np.flatnonzero(col)[-1] for col in lam.T], kind="stable")
+    groups, lam = [groups[g] for g in order], lam[:, order]
+    return CongruenceSplit(
+        T=T,
+        T_inv=(V * np.sqrt(s)) @ V.T @ P,
+        groups=tuple(np.array(g) for g in groups),
+        lam=lam,
+    )
 
 
 def analyze(kernel: SeparableKernel, input_dim=2, seed=0) -> DecompositionReport:

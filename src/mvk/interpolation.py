@@ -5,9 +5,12 @@ the stacked coefficient vector solves the block Gramian system
 k(X, X) alpha = f(X).  ``fit`` solves it block by block through
 ``linalg._SymFactor``: Cholesky for strictly positive definite kernels,
 otherwise the minimal-norm pseudo-inverse solution.  A strictly pd kernel
-whose coefficients have pairwise orthogonal products (the paper's
-uncoupled decomposition) gives one n x n block per term, without the
-block Gramian; any other kernel gives the block Gramian as its one block.
+whose coefficients split by one congruence T (T Q_i T^T diagonal, see
+:func:`~mvk.decomposition.congruence_split`) gives one n x n scalar block
+per distinct kernel sum_i lam_ig k_i, without the block Gramian; the
+paper's uncoupled kernels split this way with one block per term.  Any
+other kernel gives the block Gramian as its one block.  ``_blocks``
+builds the blocks for ``fit`` and ``PowerEvaluator`` alike.
 """
 
 import json
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import uncoupled_split
+from .decomposition import congruence_split
 from .kernels import PointSet, SeparableKernel, _as_point
 from .linalg import PSD_TOL, ConditioningError, _SymFactor, symmetrize  # noqa: F401  fit raises it
 from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
@@ -64,12 +67,13 @@ def fit(kernel, X, values, lu_fallback=False):
     the achievable interpolation error).  Kernels that are merely positive
     definite take the minimal-norm pseudo-inverse solution.
 
-    Each block (U, w, A) gives B = A^{-1} (F U) diag(1/w) and adds B U^T
-    to the coefficients.  A strictly-pd kernel whose coefficients split
-    (:func:`~mvk.decomposition.uncoupled_split`, Q_i = U_i diag(w_i) U_i^T)
-    has one block per term with A = k_i(X, X); because the U_i together
-    form an orthogonal matrix, the block residuals add up to the residual
-    of the full system.  Any other kernel is one block (I_m, 1, k(X, X)).
+    A strictly-pd kernel whose coefficients split by congruence
+    (:func:`~mvk.decomposition.congruence_split`, T Q_i T^T = diag(lam_i))
+    is solved in T coordinates: the data become F T^T, each group g of
+    directions is one scalar system K_g B_g = (F T^T)_g with
+    K_g = sum_i lam_ig k_i(X, X), and alpha = B T.  The residual of the
+    full system is R T^-T, R the block residuals.  Any other kernel is one
+    block, the block Gramian k(X, X).
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if X.n == 0:
@@ -79,22 +83,26 @@ def fit(kernel, X, values, lu_fallback=False):
         raise ValueError(f"values must have shape ({X.n}, {kernel.m})")
     X.assert_distinct()
 
-    alpha = np.zeros((X.n, kernel.m))
-    res_sq, rank_used, paths = 0.0, 0, []
-    for U, w, A in _blocks(kernel, X):
-        FU = values @ U
+    split = _split(kernel)
+    F = values if split is None else values @ split.T.T
+    B, R = np.empty_like(F), np.empty_like(F)
+    rank_used, paths = 0, []
+    for J, A in _blocks(kernel, split, X):
         factor = _SymFactor(A, kernel.strictly_pd, "lu" if lu_fallback else "raise")
-        # (n, rank U) on a term's block, one stacked column on k(X, X)
-        B = factor.solve((FU / w).reshape(len(A), -1))
-        alpha += B.reshape(X.n, -1) @ U.T
-        res_sq += np.linalg.norm(A @ B * w - FU.reshape(B.shape)) ** 2
-        rank_used += factor.rank * B.shape[1]
+        # (n, |J|) on a group's block, one stacked column on k(X, X)
+        rhs = F[:, J].reshape(len(A), -1)
+        sol = factor.solve(rhs)
+        B[:, J] = sol.reshape(X.n, -1)
+        R[:, J] = (A @ sol - rhs).reshape(X.n, -1)
+        rank_used += factor.rank * sol.shape[1]
         paths.append(factor.path)
         del A, factor  # free this block before the next one is built
-    path = "lu_fallback" if "lu_fallback" in paths else paths[0]
+    if split is not None:
+        B, R = B @ split.T, R @ split.T_inv.T
 
     scale = max(np.linalg.norm(values), 1e-300)
-    residual = float(np.sqrt(res_sq) / scale)
+    residual = float(np.linalg.norm(R) / scale)
+    path = _path(paths)
     if path == "cholesky" and residual > LIN_TOL:
         warnings.warn(
             f"ill-conditioned interpolation system: relative residual "
@@ -102,22 +110,60 @@ def fit(kernel, X, values, lu_fallback=False):
             RuntimeWarning,
             stacklevel=2,
         )
-    return Interpolant(kernel, X, alpha.reshape(-1), {
+    return Interpolant(kernel, X, B.reshape(-1), {
         "path": path, "residual": residual, "rank_used": rank_used,
         "blocks": len(paths)})
 
 
-def _blocks(kernel, X):
-    """The (U, w, A) blocks of ``fit``, each A built when it is reached."""
-    split = uncoupled_split(kernel.coefficients()) if kernel.strictly_pd else None
+def _path(paths):
+    """The solver path of several blocks: the first one off Cholesky, if any."""
+    return next((p for p in paths if p != "cholesky"), "cholesky")
+
+
+def _split(kernel):
+    """The congruence split ``fit`` and ``PowerEvaluator`` share, or None.
+
+    Only strictly pd kernels split: their coefficient sum is positive
+    definite and every group's scalar kernel is strictly pd.
+    """
+    return congruence_split(kernel.coefficients()) if kernel.strictly_pd else None
+
+
+def _blocks(kernel, split, X, Xq=None):
+    """Yield (J, A) for each block of the system on centers X.
+
+    With a split, J holds the directions of a group g and A is its scalar
+    matrix sum_i lam_ig k_i(Xq, X): the symmetric Gramian when ``Xq`` is
+    None, otherwise the (q, n) cross matrix.  Without one, the one block is
+    (all directions, ``gramian`` or ``cross_many``).  Blocks come in group
+    order, each built when it is reached from ``_term_matrices``: a group
+    is yielded once its last term is in, and the last group to use a
+    term's matrix scales it in place when it has no sum yet.
+    """
     if split is None:
-        yield np.eye(kernel.m), 1.0, kernel.gramian(X, check_distinct=False)
+        yield slice(None), (kernel.gramian(X, check_distinct=False) if Xq is None
+                            else kernel.cross_many(Xq, X))
         return
-    # No name here (nor zip's reused result tuple) may hold a term's matrix
-    # while fit solves its block: the shared distances already take one.
-    terms = kernel._term_matrices(X.points, X.points)
-    for U, w in split:
-        yield U, w, symmetrize(next(terms)[0])
+    lam = split.lam
+    users = [np.flatnonzero(row) for row in lam]
+    done_at = [np.flatnonzero(col)[-1] for col in lam.T]
+    # No name here (nor a reused result tuple) may hold a matrix while the
+    # caller factors a block: the shared distances already take one.
+    terms = kernel._term_matrices(X.points if Xq is None else Xq, X.points)
+    acc = {}
+    for i in range(kernel.p):
+        K = next(terms)[0]
+        for g in users[i]:
+            if g in acc:
+                acc[g] += lam[i, g] * K
+            elif g == users[i][-1]:  # the last use of K
+                acc[g] = K if lam[i, g] == 1.0 else np.multiply(K, lam[i, g], out=K)
+            else:
+                acc[g] = lam[i, g] * K
+        del K
+        for g in users[i]:
+            if done_at[g] == i:
+                yield split.groups[g], symmetrize(acc.pop(g)) if Xq is None else acc.pop(g)
 
 
 @dataclass(frozen=True)

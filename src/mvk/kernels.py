@@ -128,10 +128,12 @@ class PointSet:
         if self.n < 2:
             return np.inf
         # squared distances summed one coordinate at a time into one n x n
-        # array; sqrt is monotone, so only the minimum needs it
+        # array through one difference buffer; sqrt is monotone, so only the
+        # minimum needs it
         sq = np.zeros((self.n, self.n))
+        diff = np.empty_like(sq)
         for x in self.points.T:
-            diff = np.subtract.outer(x, x)
+            np.subtract.outer(x, x, out=diff)
             diff *= diff
             sq += diff
         np.fill_diagonal(sq, np.inf)

@@ -10,12 +10,21 @@ alpha^T (k(x, x) - k_N(x, x)) alpha.  The deficiency matrix
 D(x) = k(x, x) - k_N(x, x) also drives the pointwise error bounds in the
 2-, infinity- and 1-norm.
 
-``PowerEvaluator`` factors the Gramian G = k(X, X) once, through
-``linalg._SymFactor``, which picks the route.  For a strictly positive
-definite kernel G^+ = G^{-1}, and a Cholesky factor G = L L^T gives
-k_N(x, x) = W^T W with W = L^{-1} k(X, x), with no eigenvalue cutoff.
-Otherwise one eigendecomposition gives the pseudo-inverse; a strictly pd
-kernel whose Gramian fails Cholesky takes it too, with a warning.
+``PowerEvaluator`` factors the Gramian G = k(X, X) once, block by block
+through the split ``fit`` uses (``interpolation._blocks``), each block
+through ``linalg._SymFactor``, which picks the route.  When the
+coefficients split by congruence, T Q_i T^T = diag(lam_i), the blocks are
+the scalar Gramians K_g of the distinct kernels sum_i lam_ig k_i and
+
+    D(x) = T^-1 diag(P_g(x)^2) T^-T,
+
+with P_g the scalar power function of K_g: the paper's reduction of D to
+scalar power functions, which holds beyond uncoupled kernels.  Any other
+kernel is one block, G itself.  For a strictly positive definite kernel
+a Cholesky factor K = L L^T gives c^T K^-1 c = w^T w with w = L^{-1} c,
+with no eigenvalue cutoff.  Otherwise one eigendecomposition gives the
+pseudo-inverse; a strictly pd kernel whose block fails Cholesky takes it
+too, with a warning.
 
 ``PowerEvaluator.deficiency_many`` is the one routine that computes D(x);
 the power-function, the bound factors, the error bounds and the scalar
@@ -26,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decomposition import CongruenceSplit
+from .interpolation import _blocks, _path, _split
 from .kernels import PointSet, ScalarKernel, SeparableKernel
 from .linalg import PSD_TOL, _SymFactor, pinv_sym
 
@@ -38,50 +49,89 @@ class PowerBreakdownError(RuntimeError):
 class PowerEvaluator:
     """The Gramian of a kernel on a set of centers, factored for power queries.
 
-    ``path`` is ``"cholesky"`` or ``"pseudo_inverse"`` (see ``build``).
+    ``split`` is the congruence split the blocks follow, as in ``fit``, or
+    None for the one block Gramian; ``factors`` holds one factor per block,
+    in the order of ``split.groups``.  ``path`` is ``"cholesky"`` or
+    ``"pseudo_inverse"`` (see ``build``).
     """
 
     kernel: SeparableKernel
     centers: PointSet
-    factor: _SymFactor
+    split: CongruenceSplit | None
+    factors: tuple
 
     @classmethod
     def build(cls, kernel, centers, rank_tol=None):
-        """Factor the Gramian of ``kernel`` on ``centers``.
+        """Factor each block of the Gramian of ``kernel`` on ``centers`` once.
 
         With ``rank_tol=None`` the route is Cholesky, with no cutoff, when
-        the kernel is strictly pd and the Gramian factors, and otherwise the
-        pseudo-inverse at RANK_TOL; a strictly pd kernel whose Gramian does
+        the kernel is strictly pd and the block factors, and otherwise the
+        pseudo-inverse at RANK_TOL; a strictly pd kernel whose block does
         not factor warns with its smallest eigenvalue.  An explicit
-        ``rank_tol`` takes the pseudo-inverse at that cutoff.
+        ``rank_tol`` takes the pseudo-inverse of each block at that cutoff.
         """
-        G = kernel.gramian(centers)
-        if rank_tol is not None:
-            factor = _SymFactor.from_pinv(pinv_sym(G, rank_tol))
-        else:
-            factor = _SymFactor(G, kernel.strictly_pd, "eigh")
-        return cls(kernel, centers, factor)
+        centers.assert_distinct()
+        split = _split(kernel)
+        factors = []
+        for _, A in _blocks(kernel, split, centers):
+            if rank_tol is not None:
+                factors.append(_SymFactor.from_pinv(pinv_sym(A, rank_tol)))
+            else:
+                factors.append(_SymFactor(A, kernel.strictly_pd, "eigh"))
+            del A
+        return cls(kernel, centers, split, tuple(factors))
 
     @property
     def path(self):
-        return self.factor.path
+        return _path([f.path for f in self.factors])
 
     @property
     def gram_pinv(self):
-        """G^{-1} (Cholesky route) or G^+ as a dense matrix, for analysis."""
-        return self.factor.solve(np.eye(self.centers.n * self.kernel.m))
+        """G^{-1} (Cholesky route) or G^+ as a dense matrix, for analysis.
+
+        Through a split this is T^T G~^+ T blockwise, G~ the scalar blocks.
+        """
+        return self.solve(np.eye(self.centers.n * self.kernel.m))
 
     def solve(self, b):
-        """G^{-1} b on the Cholesky route, G^+ b on the pseudo-inverse route."""
-        return self.factor.solve(b)
+        """G^{-1} b on the Cholesky route, G^+ b on the pseudo-inverse route.
+
+        ``b`` is stacked like the coefficients, (n m,) or (n m, k).  Through
+        a split each center's rows are mapped by T, solved per group and
+        mapped back by T^T.
+        """
+        if self.split is None:
+            return self.factors[0].solve(b)
+        n, T = self.centers.n, self.split.T
+        bt = np.einsum("da,nak->ndk", T, b.reshape(n, self.kernel.m, -1))
+        x = np.empty_like(bt)
+        for J, factor in zip(self.split.groups, self.factors):
+            x[:, J] = factor.solve(bt[:, J].reshape(n, -1)).reshape(n, len(J), -1)
+        return np.einsum("da,ndk->nak", T, x).reshape(b.shape)
 
     def deficiency_many(self, Xq):
-        """Deficiency matrices for a (q, d) batch, returns (q, m, m)."""
+        """Deficiency matrices for a (q, d) batch, returns (q, m, m).
+
+        Through a split, D(x) = T^-1 diag(P_g(x)^2) T^-T with P_g the
+        scalar power function of group g's kernel on the centers.
+        """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        kxx = self.kernel.diag_value(Xq)
         if self.centers.n == 0:
-            return kxx
-        D = kxx - self.factor.inner(self.kernel.cross_many(Xq, self.centers))
+            return self.kernel.diag_value(Xq)
+        if self.split is None:
+            C = self.kernel.cross_many(Xq, self.centers)
+            D = self.kernel.diag_value(Xq) - self.factors[0].inner(C)
+        else:
+            # k_g(x, x) and the scalar power functions, one group at a time
+            diag = self.split.lam.T @ [ks.diag(Xq) for ks, _ in self.kernel.terms]
+            p2 = np.empty((len(Xq), self.kernel.m))
+            blocks = _blocks(self.kernel, self.split, self.centers, Xq)
+            for g, factor in enumerate(self.factors):
+                J, C = next(blocks)
+                p2[:, J] = (diag[g] - factor.inner(C[:, None, :])[:, 0, 0])[:, None]
+                del C
+            Ti = self.split.T_inv
+            D = (Ti * p2[:, None, :]) @ Ti.T
         return 0.5 * (D + np.swapaxes(D, 1, 2))
 
     def bound_factors(self, Xq):

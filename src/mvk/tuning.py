@@ -7,14 +7,15 @@ tie breaking.
 
 Every candidate is scored by fitting it with :func:`fit` (Cholesky, with
 the LU fallback for Gramians that fail to factor); a candidate whose fit
-raises counts as failed.  When the coefficients split per term
-(:func:`~mvk.decomposition.uncoupled_split`, the same test ``fit`` uses
-for its term-by-term route), interpolation splits exactly into one
-independent problem per term, on the range of that term's coefficient.
-Each term is then fitted once per grid value of its own group, and the
-squared validation residuals of the terms are summed by broadcasting to
-score every joint candidate.  Any other template is one block whose
-candidates are all fitted in full.
+raises counts as failed.  When the coefficients split by congruence
+(:func:`~mvk.decomposition.congruence_split`, the split ``fit`` uses)
+into groups that own their terms and have orthogonal ranges,
+interpolation splits exactly into one independent problem per group, on
+the range of the group's coefficients.  Each group is then fitted once
+per grid value of its own tie groups, and the squared validation
+residuals of the groups are summed by broadcasting to score every joint
+candidate.  Any other template, and one whose groups all depend on every
+tie group, is one block whose candidates are all fitted in full.
 
 Candidates whose errors differ only at roundoff level are ordered by that
 roundoff, so on a plateau of the objective the first-found argmin can
@@ -27,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import uncoupled_split
+from .decomposition import congruence_split, orthogonal_products
 from .interpolation import fit
 from .kernels import PointSet, ScalarKernel, SeparableKernel
+from .linalg import sym_eig
 
 log = logging.getLogger(__name__)
 
@@ -111,19 +113,10 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig):
     fc = np.asarray(target(cfg.centers.points), dtype=np.float64)
     fv = np.asarray(target(cfg.validation.points), dtype=np.float64)
 
-    # Each term of a split template is its own block, fitting the targets
-    # projected onto its range U with the coefficient diag(w) = U^T Q U;
-    # otherwise the whole template is one block with U = I.
-    split = uncoupled_split(template.coeffs)
-    if split is None:
-        blocks = [(template, np.eye(fc.shape[1]))]
-    else:
-        blocks = [(KernelTemplate((np.diag(w),), (g,)), U)
-                  for (U, w), g in zip(split, template.groups)]
     # the squared residuals of independent blocks add; each block's array
     # is broadcast along the groups it does not depend on
     total = np.zeros((len(grid),) * len(group_ids) + (cfg.validation.n,))
-    for block, U in blocks:
+    for block, U in _blocks(template):
         ids, sq = _block_sq_residuals(block, grid, cfg, fc @ U, fv @ U)
         axes = [len(grid) if g in ids else 1 for g in group_ids]
         total += sq.reshape(axes + [cfg.validation.n])
@@ -149,6 +142,37 @@ def select_shapes(template: KernelTemplate, target, cfg: GridSearchConfig):
         n_failed=n_failed,
         table=table,
     )
+
+
+def _blocks(template):
+    """The blocks (template, U) whose squared residuals add up.
+
+    The groups of :func:`~mvk.decomposition.congruence_split` give the
+    blocks when each term belongs to one group and the groups' coefficient
+    sums M_g have orthogonal products (equivalently, their columns of T^-1
+    are orthogonal): a fit then splits into one problem per group on the
+    range of M_g, and the squared residuals of these problems add up.
+    Block g is the template of its own terms, with coefficients U^T Q_i U,
+    fitted to the data projected onto the orthonormal range U of M_g; it
+    reads no other term, so a block fits the same whatever the rest of the
+    template is.  The template splits only when some block depends on
+    fewer tie groups than the template; otherwise it is one block, U = I.
+    """
+    one = [(template, np.eye(template.coeffs[0].shape[0]))]
+    split = congruence_split(template.coeffs)
+    if split is None or np.any(np.count_nonzero(split.lam, axis=1) != 1):
+        return one
+    terms = [np.flatnonzero(col) for col in split.lam.T]
+    sums = [sum(template.coeffs[i] for i in t) for t in terms]
+    if (all(len({template.groups[i] for i in t}) == template.n_groups for t in terms)
+            or not orthogonal_products(sums)):
+        return one
+    blocks = []
+    for J, t, M in zip(split.groups, terms, sums):
+        U = sym_eig(M)[1][:, :len(J)]
+        blocks.append((KernelTemplate(tuple(U.T @ template.coeffs[i] @ U for i in t),
+                                      tuple(template.groups[i] for i in t)), U))
+    return blocks
 
 
 def _block_sq_residuals(template, grid, cfg, fc, fv):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvk import builtin
-from mvk.cli import counterexample_report, main
+from mvk.cli import _write_csv, counterexample_report, example2_run, main
 
 
 def read_csv(path):
@@ -112,6 +112,38 @@ def test_example2_outputs(tmp_path):
     assert header == ["i", "residual_norm", "f_norm"]
     r_norms = [float(r[1]) for r in rows]
     assert all(a >= b - 1e-8 for a, b in zip(r_norms, r_norms[1:]))
+
+
+@pytest.mark.parametrize("seed", [42, 4, 9])
+def test_example2_bounds_hold_through_the_split(seed):
+    # example2's kernel is coupled but splits by congruence into three
+    # scalar kernels; at every prefix and test point the measured error
+    # stays below delta1 (seeds 4 and 9 come within 6 % of it)
+    for rec in example2_run(seed=seed, n_centers=100):
+        assert rec["solver_info"]["blocks"] == 3
+        assert rec["residual_norm"] <= rec["f_norm"]
+        for norm in ("two", "inf", "one"):
+            err, d1, d2 = (rec[k][norm] for k in ("errors", "delta1", "delta2"))
+            assert np.all(err <= d1), (rec["i"], norm)
+            assert np.all(d1 <= d2), (rec["i"], norm)
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # one format string per table writes what csv.writer wrote with %.17g
+    # floats, including a row with a None (an empty field), nan and -0.0
+    rows = [(0, 0.1, 1e-300, -0.0), (1, None, float("nan"), 2.0),
+            (2, 1 / 3, float("inf"), 123456789.0)]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["# h"], ["i", "a", "b", "c"], iter(rows))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        fh.write("# h\n")
+        w = csv.writer(fh)
+        w.writerow(["i", "a", "b", "c"])
+        for row in rows:
+            w.writerow(["" if v is None else f"{v:.17g}" if isinstance(v, float) else v
+                        for v in row])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_analyze_coupled_and_uncoupled(tmp_path, capsys):
@@ -222,7 +254,14 @@ def test_solver_route_in_outputs(tmp_path, capsys):
     F = np.stack([np.sin(X[:, 0]), X[:, 0] ** 2], axis=1)
     data = write_data(tmp_path / "train.csv", X, F)
     model = tmp_path / "model.json"
-    for kern, blocks in ((kernel, 2), (well_conditioned_kernel(), 1)):
+    # any two coefficients with a pd sum split by congruence, here into two
+    # groups; three whose whitened forms do not commute stay one block
+    unsplit = SeparableKernel.create([
+        (ScalarKernel.gaussian(2.0), np.array([[2.0, 1.0], [1.0, 2.0]])),
+        (ScalarKernel.gaussian(5.0), np.eye(2)),
+        (ScalarKernel.gaussian(3.0), np.diag([1.0, 0.0])),
+    ])
+    for kern, blocks in ((kernel, 2), (well_conditioned_kernel(), 2), (unsplit, 1)):
         kf = write_kernel(tmp_path / "k.json", kern)
         main(["fit", "--data", data, "--kernel", kf, "--out-model", str(model)])
         assert capsys.readouterr().out.rstrip().endswith(f", blocks={blocks})")

@@ -3,6 +3,8 @@ import pytest
 
 from mvk.builtin import counterexample_kernel, example2_kernel
 from mvk.decomposition import (
+    COMBINATION_SEED,
+    congruence_split,
     AmbiguousGroupingError,
     NotCommutingError,
     analyze,
@@ -183,3 +185,55 @@ def test_match_terms_ambiguity():
     )
     with pytest.raises(AmbiguousGroupingError):
         match_terms(a, a, pairs)
+
+
+def test_congruence_split_diagonalizes_by_congruence():
+    Qs = example2_kernel().coefficients()
+    split = congruence_split(Qs)
+    assert np.allclose(split.T @ split.T_inv, np.eye(4), rtol=0, atol=1e-14)
+    # T Q_i T^T = diag(lam_i), constant on each group of directions
+    for Q, lam in zip(Qs, split.lam):
+        D = split.T @ Q @ split.T.T
+        assert np.allclose(D, np.diag(np.diag(D)), rtol=0, atol=1e-13)
+        for J, value in zip(split.groups, lam):
+            assert np.allclose(np.diag(D)[J], value, rtol=0, atol=1e-13)
+    # three scalar kernels in the order of their last term: k1 on one
+    # direction, k2 on two and (k2 + k3) / 2 on one
+    assert [len(J) for J in split.groups] == [1, 2, 1]
+    assert np.allclose(split.lam.T, [[1, 0, 0], [0, 1, 0], [0, 0.5, 0.5]], rtol=0, atol=1e-14)
+    assert np.array_equal(split.lam.sum(axis=0), np.ones(3))
+    # orthogonal products: one group per term, lam exactly the identity
+    P = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    Qs = [2.0 * np.outer(P[:, 0], P[:, 0]), np.eye(3) - np.outer(P[:, 0], P[:, 0])]
+    split = congruence_split(Qs)
+    assert [len(J) for J in split.groups] == [1, 2]
+    assert split.lam.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    # three full-rank coupled coefficients do not commute after whitening;
+    # a singular sum has no whitening
+    rng = np.random.default_rng(0)
+    Bs = [rng.standard_normal((3, 3)) for _ in range(3)]
+    assert congruence_split([B @ B.T for B in Bs]) is None
+    assert congruence_split([np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]) is None
+
+
+def test_congruence_split_separates_groups_a_combination_nearly_merges():
+    # simultaneous_diagonalize uses one fixed combination sum_i w_i
+    # Lambda_i; two lambda columns a, b with sum_i w_i (a_i - b_i) = gap
+    # get eigenvectors mixed at about eps / gap from it alone (2e-12 to
+    # 2.4e-9 below), which the pairwise sweep removes
+    w = np.random.default_rng(COMBINATION_SEED).uniform(0.5, 1.5, 3)
+    w /= w.sum()
+    flat = np.cross(np.ones(3), w)  # zero sum, zero combination
+    flat /= np.abs(flat).max()
+    unit = w - w.mean()  # zero sum, combination 1
+    unit /= w @ unit
+    M = np.array([[1.0, 0.4], [-0.3, 0.8]])
+    for gap in (1e-5, 1e-7, 1e-8):
+        a = np.array([0.3, 0.3, 0.4])
+        b = a - 0.2 * flat - gap * unit
+        Qs = [(M * [a[i], b[i]]) @ M.T for i in range(3)]
+        split = congruence_split(Qs)
+        assert len(split.groups) == 2
+        for Q in Qs:
+            D = split.T @ Q @ split.T.T
+            assert np.max(np.abs(D - np.diag(np.diag(D)))) <= 1e-14

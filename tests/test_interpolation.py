@@ -27,6 +27,17 @@ def gaussian_kernel(shapes=(1.0, 2.0)):
     )
 
 
+def unsplit_kernel():
+    # three coefficients whose whitened forms do not commute: no split
+    return SeparableKernel.create(
+        [
+            (ScalarKernel.gaussian(1.0), np.array([[2.0, 1.0], [1.0, 2.0]])),
+            (ScalarKernel.gaussian(2.0), np.eye(2)),
+            (ScalarKernel.gaussian(3.0), np.diag([1.0, 0.0])),
+        ]
+    )
+
+
 def polynomial_kernel():
     return SeparableKernel.create(
         [
@@ -265,6 +276,9 @@ def test_split_fit_never_forms_the_gramian(monkeypatch):
 
     monkeypatch.setattr(SeparableKernel, "gramian", counting)
     s = fit(gaussian_kernel(), X, F)
+    assert not calls
+    assert s.solver_info["blocks"] == 2
+    s = fit(unsplit_kernel(), X, F)
     assert len(calls) == 1
     assert s.solver_info["blocks"] == 1
 

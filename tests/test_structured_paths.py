@@ -6,9 +6,10 @@ with the dense cross blocks, per-point evaluations and explicit Kronecker
 sums.  The power-function laws of the paper are checked on the same
 kernels: 0 <= D(x) <= k(x, x), D vanishes at the centers, D does not grow
 as centers are added, and the additivity gap is nonnegative and vanishes
-for uncoupled kernels.  The term-by-term route of ``fit`` for uncoupled,
-strictly pd kernels is compared with a dense Cholesky solve of the block
-Gramian.
+for uncoupled kernels.  The congruence split of ``fit`` and
+``PowerEvaluator`` (one scalar system per distinct kernel) is compared with
+a dense Cholesky solve of the block Gramian, on uncoupled kernels and on
+coupled ones that split.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from mvk import NativeSpanFunction, PointSet, PowerEvaluator, ScalarKernel, SeparableKernel
 from mvk.decomposition import orthogonal_products
-from mvk.interpolation import Interpolant, fit
+from mvk.interpolation import ConditioningError, Interpolant, fit
 from mvk.power import power_additivity_check, scalar_power_sq
 from mvk.linalg import symmetrize
 
@@ -298,3 +299,87 @@ def test_split_fit_matches_dense_cholesky(problem):
     dense = np.linalg.norm(G @ s.coeffs - f) / np.linalg.norm(f)
     floor = eps * np.linalg.norm(G, 2) * np.linalg.norm(s.coeffs) / np.linalg.norm(f)
     assert abs(s.solver_info["residual"] - dense) <= max(1e-12, RES_C * floor)
+
+
+@st.composite
+def split_pd_problems(draw):
+    """A strictly pd Gaussian kernel that splits by congruence but is coupled.
+
+    Q_i = M diag(lam_i) M^T with a random invertible M (condition at most
+    10) and nonnegative lambda columns, each direction taking one of a few
+    drawn columns, so that several directions share one scalar kernel.
+    Also returns the number of distinct kernels, the groups of the split.
+    """
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 3))
+    n_cols = draw(st.integers(1, m))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 6))
+    shapes = [draw(st.floats(0.3, 5.0)) for _ in range(p)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    M = (U * rng.uniform(0.3, 3.0, m)) @ V
+    cols = rng.uniform(0.0, 1.0, (p, n_cols)) * (rng.random((p, n_cols)) < 0.7)
+    for c in np.flatnonzero(~cols.any(axis=0)):
+        cols[rng.integers(p), c] = 1.0
+    owner = np.concatenate([np.arange(n_cols), rng.integers(0, n_cols, m - n_cols)])
+    coeffs = [(M * lam) @ M.T for lam in cols[:, owner]]
+    kernel = SeparableKernel.create(
+        [(ScalarKernel.gaussian(a), Q) for a, Q in zip(shapes, coeffs)]
+    )
+    # proportional columns give one kernel: count the normalized ones
+    n_groups = len(np.unique(np.round(cols / cols.sum(axis=0), 12), axis=1).T)
+    X = PointSet(rng.uniform(-1.0, 1.0, size=(n, d)))
+    Xq = rng.uniform(-1.0, 1.0, size=(q, d))
+    F = rng.standard_normal((n, m))
+    return kernel, X, Xq, F, n_groups
+
+
+# Over 7,000 draws of this construction the coefficients, predictions,
+# D(x) and G^-1 of the split route stayed within 9.3 eps * cond(G) of the
+# dense block route (relative to the coefficients, the predictions' scale,
+# max ||k(x, x)||_2 and ||G^-1||), and the residuals within 1.7 times the
+# roundoff floor: FWD_C and RES_C above hold with room.  Without
+# congruence_split's pairwise sweep, draws whose combination of lambda
+# columns nearly cancels reached 195 eps * cond(G).
+@pytest.mark.filterwarnings("ignore:ill-conditioned interpolation system")
+@SETTINGS
+@given(split_pd_problems())
+def test_congruence_split_matches_dense_block_route(problem):
+    kernel, X, Xq, F, n_groups = problem
+    assert kernel.strictly_pd
+    m, n, eps = kernel.m, X.n, np.finfo(float).eps
+    G = symmetrize(sum(np.kron(ks.cross(X.points, X.points), Q) for ks, Q in kernel.terms))
+    f = F.reshape(-1)
+    try:
+        factor = cho_factor(G, lower=True)
+        # a scalar block can be worse conditioned than G by up to cond(T)^2
+        s = fit(kernel, X, F)
+    except (LinAlgError, ConditioningError):
+        assume(False)
+    ref = cho_solve(factor, f)
+    assert s.solver_info["path"] == "cholesky"
+    assert s.solver_info["blocks"] == n_groups
+    assert s.solver_info["rank_used"] == n * m
+    tol = FWD_C * eps * np.linalg.cond(G)
+    assert np.linalg.norm(s.coeffs - ref) <= tol * np.linalg.norm(ref)
+    C = kernel.cross_many(Xq, X)
+    Cf = C.reshape(len(Xq) * m, n * m)
+    pred_err = np.linalg.norm(s.evaluate_many(Xq).reshape(-1) - Cf @ ref)
+    assert pred_err <= tol * np.linalg.norm(Cf, 2) * np.linalg.norm(ref)
+    dense = np.linalg.norm(G @ s.coeffs - f) / np.linalg.norm(f)
+    floor = eps * np.linalg.norm(G, 2) * np.linalg.norm(s.coeffs) / np.linalg.norm(f)
+    assert abs(s.solver_info["residual"] - dense) <= max(1e-12, RES_C * floor)
+
+    pe = PowerEvaluator.build(kernel, X)
+    assert pe.path == "cholesky" and len(pe.factors) == n_groups
+    kxx = kernel.diag_value(Xq)
+    W = cho_solve(factor, Cf.T).reshape(n * m, len(Xq), m)
+    D_ref = kxx - np.einsum("qan,nqb->qab", C, W)
+    D_ref = 0.5 * (D_ref + np.swapaxes(D_ref, 1, 2))
+    scale = np.max(np.linalg.norm(kxx, 2, axis=(1, 2)))
+    assert np.max(np.abs(pe.deficiency_many(Xq) - D_ref)) <= tol * scale
+    G_inv = cho_solve(factor, np.eye(n * m))
+    assert np.linalg.norm(pe.gram_pinv - G_inv) <= tol * np.linalg.norm(G_inv)

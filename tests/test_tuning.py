@@ -5,7 +5,7 @@ import pytest
 
 from mvk import tuning
 from mvk.builtin import covariance_eigenbasis
-from mvk.decomposition import uncoupled_split
+from mvk.decomposition import congruence_split
 from mvk.interpolation import fit
 from mvk.kernels import PointSet
 from mvk.tuning import (
@@ -85,15 +85,37 @@ def reference_table(template, cfg):
 
 
 def test_block_detection():
-    # select_shapes splits a template into per-term blocks exactly when
-    # uncoupled_split, the test fit shares, finds the split
-    (U0, w0), (U1, w1) = uncoupled_split(diagonal_template().coeffs)
-    assert np.array_equal(np.abs(U0), [[1.0], [0.0]])
-    assert np.array_equal(np.abs(U1), [[0.0], [1.0]])
-    assert w0.tolist() == w1.tolist() == [1.0]
-    assert uncoupled_split(coupled_template().coeffs) is None
-    # rank-deficient coefficient sum: no exact split, one block
-    assert uncoupled_split([np.diag([1.0, 0.0])]) is None
+    # select_shapes splits a template into one block per group of
+    # congruence_split, the split fit shares, when the blocks are cheaper
+    split = congruence_split(diagonal_template().coeffs)
+    assert split.lam.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert [np.abs(split.T[J]).tolist() for J in split.groups] == [[[1.0, 0.0]],
+                                                                 [[0.0, 1.0]]]
+    # each block is its own term on the range of its coefficient
+    blocks = tuning._blocks(diagonal_template())
+    assert [(b.coeffs[0].tolist(), b.groups) for b, _ in blocks] == [
+        ([[1.0]], (0,)), ([[1.0]], (1,))]
+    assert [np.abs(U).tolist() for _, U in blocks] == [[[1.0], [0.0]], [[0.0], [1.0]]]
+    # the coupled template splits too, but each group's kernel uses both
+    # shapes: one block, the template itself
+    tpl = coupled_template()
+    split = congruence_split(tpl.coeffs)
+    assert len(split.groups) == 2 and np.all(split.lam > 0)
+    ((block, U),) = tuning._blocks(tpl)
+    assert block is tpl and np.array_equal(U, np.eye(2))
+    # groups with orthogonal ranges whose terms share no tie group split;
+    # tied ones stay one block
+    tpl = KernelTemplate(coeffs=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0]),
+                                 np.diag([0.0, 0.0, 3.0])), groups=(0, 1, 1))
+    assert [b.groups for b, _ in tuning._blocks(tpl)] == [(0,), (1,), (1,)]
+    tied = KernelTemplate(coeffs=tpl.coeffs, groups=(0, 0, 0))
+    assert [b.groups for b, _ in tuning._blocks(tied)] == [(0, 0, 0)]
+    # non-orthogonal ranges: the squared residuals would not add
+    skew = KernelTemplate(coeffs=(np.ones((2, 2)), np.diag([0.0, 1.0])), groups=(0, 1))
+    assert congruence_split(skew.coeffs) is not None
+    assert [b.groups for b, _ in tuning._blocks(skew)] == [(0, 1)]
+    # rank-deficient coefficient sum: no split
+    assert congruence_split([np.diag([1.0, 0.0])]) is None
 
 
 def test_coupled_table_equals_reference():
