@@ -8,6 +8,7 @@ commuting symmetric families, and recovery of the orthogonal-coefficient
 decomposition from sampled kernel values.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,20 @@ def congruence_split(Qs):
     positive definite sum split.  Returns None when the sum is not
     positive definite, the whitened coefficients do not commute, or some
     lam_ij is negative.
+
+    The split is computed once per coefficient family: it is memoized on
+    the coefficients' bytes, and the arrays of the result are read-only.
+    It is deterministic (``simultaneous_diagonalize`` draws its
+    combination from COMBINATION_SEED), so the memo changes no result.
     """
     Qs = [np.asarray(Q, dtype=np.float64) for Q in Qs]
+    return _congruence_split(tuple((Q.shape, Q.tobytes()) for Q in Qs))
+
+
+@functools.lru_cache(maxsize=64)
+def _congruence_split(key):
+    """``congruence_split`` of the coefficients packed as (shape, bytes) pairs."""
+    Qs = [np.frombuffer(b).reshape(shape) for shape, b in key]
     s, V = sym_eig(sum(Qs))
     if not s[-1] > EIG_TOL * max(1.0, s[0]):
         return None
@@ -158,12 +171,15 @@ def congruence_split(Qs):
     lam /= lam.sum(axis=0)
     order = np.argsort([np.flatnonzero(col)[-1] for col in lam.T], kind="stable")
     groups, lam = [groups[g] for g in order], lam[:, order]
-    return CongruenceSplit(
+    split = CongruenceSplit(
         T=T,
         T_inv=(V * np.sqrt(s)) @ V.T @ P,
         groups=tuple(np.array(g) for g in groups),
         lam=lam,
     )
+    for arr in (split.T, split.T_inv, split.lam, *split.groups):
+        arr.flags.writeable = False
+    return split
 
 
 def analyze(kernel: SeparableKernel, input_dim=2, seed=0) -> DecompositionReport:

@@ -9,7 +9,10 @@ whose coefficients split by one congruence T (T Q_i T^T diagonal, see
 :func:`~mvk.decomposition.congruence_split`) gives one n x n scalar block
 per distinct kernel sum_i lam_ig k_i, without the block Gramian; the
 paper's uncoupled kernels split this way with one block per term.  Any
-other kernel gives the block Gramian as its one block.  ``_blocks``
+other kernel gives the block Gramian as its one block, assembled in place
+by ``SeparableKernel._blocks`` with the unknowns ordered by component:
+``fit`` permutes the data into that order and the coefficients back, so
+``coeffs`` keeps the point-major layout of ``gramian``.  ``_blocks``
 builds the blocks for ``fit`` and ``PowerEvaluator`` alike.
 """
 
@@ -73,7 +76,9 @@ def fit(kernel, X, values, lu_fallback=False):
     directions is one scalar system K_g B_g = (F T^T)_g with
     K_g = sum_i lam_ig k_i(X, X), and alpha = B T.  The residual of the
     full system is R T^-T, R the block residuals.  Any other kernel is one
-    block, the block Gramian k(X, X).
+    block, the block Gramian k(X, X) in component-major order: the data
+    enter as the columns of F stacked, and the solution is read back the
+    same way.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if X.n == 0:
@@ -88,12 +93,15 @@ def fit(kernel, X, values, lu_fallback=False):
     B, R = np.empty_like(F), np.empty_like(F)
     rank_used, paths = 0, []
     for J, A in _blocks(kernel, split, X):
-        factor = _SymFactor(A, kernel.strictly_pd, "lu" if lu_fallback else "raise")
-        # (n, |J|) on a group's block, one stacked column on k(X, X)
-        rhs = F[:, J].reshape(len(A), -1)
+        # the factor overwrites its matrix; the residual below needs A
+        factor = _SymFactor(A.copy(), kernel.strictly_pd, "lu" if lu_fallback else "raise")
+        # F[:, J]^T is component-major, row a = component a at every center;
+        # its rows of len(A) give (n, |J|) on a group's block and one
+        # stacked column on the component-major Gramian
+        rhs = F[:, J].T.reshape(-1, len(A)).T
         sol = factor.solve(rhs)
-        B[:, J] = sol.reshape(X.n, -1)
-        R[:, J] = (A @ sol - rhs).reshape(X.n, -1)
+        B[:, J] = sol.T.reshape(-1, X.n).T
+        R[:, J] = (A @ sol - rhs).T.reshape(-1, X.n).T
         rank_used += factor.rank * sol.shape[1]
         paths.append(factor.path)
         del A, factor  # free this block before the next one is built
@@ -135,14 +143,17 @@ def _blocks(kernel, split, X, Xq=None):
     With a split, J holds the directions of a group g and A is its scalar
     matrix sum_i lam_ig k_i(Xq, X): the symmetric Gramian when ``Xq`` is
     None, otherwise the (q, n) cross matrix.  Without one, the one block is
-    (all directions, ``gramian`` or ``cross_many``).  Blocks come in group
+    (all directions, the matrix of ``SeparableKernel._blocks``): the
+    (m n, m n) Gramian or the (m q, m n) cross matrix, both component-major,
+    row (a, i) for component a at point i.  Blocks come in group
     order, each built when it is reached from ``_term_matrices``: a group
     is yielded once its last term is in, and the last group to use a
     term's matrix scales it in place when it has no sum yet.
     """
     if split is None:
-        yield slice(None), (kernel.gramian(X, check_distinct=False) if Xq is None
-                            else kernel.cross_many(Xq, X))
+        Xa = X.points if Xq is None else Xq
+        yield slice(None), kernel._blocks(Xa, None if Xq is None else X.points).reshape(
+            kernel.m * len(Xa), -1)
         return
     lam = split.lam
     users = [np.flatnonzero(row) for row in lam]

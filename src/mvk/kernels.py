@@ -7,13 +7,15 @@ A separable matrix-valued kernel is a finite sum
 with scalar kernels ``k_i`` and symmetric m x m coefficient matrices
 ``Q_i``.  Its block kernel matrices have the Kronecker structure
 ``sum_i k_i(X, Y) (x) Q_i``, and every evaluation here works from the
-per-term scalar matrices ``k_i(X, Y)``: the Gramian and the batched cross
-blocks come from one block assembly (``SeparableKernel._blocks``), and
-interpolants are evaluated term by term without forming the block matrix
-at all.  All of them, and the term-by-term fit, take the per-term matrices
-from one generator (``SeparableKernel._term_matrices``), which computes one
-squared-distance matrix per point pair and shares it among the Gaussian
-terms.
+per-term scalar matrices ``k_i(X, Y)``: every block matrix comes from one
+assembler (``SeparableKernel._blocks``), which fills the unknowns in
+component-major order, block (a, b) = sum_i Q_i[a, b] k_i(X, Y), in place;
+``gramian`` and ``cross_many`` permute its output to the point-major
+Kronecker layout.  Interpolants are evaluated term by term without forming
+the block matrix at all.  All of them, and the term-by-term fit, take the
+per-term matrices from one generator (``SeparableKernel._term_matrices``),
+which computes one squared-distance matrix per point pair and shares it
+among the Gaussian terms.
 """
 
 from dataclasses import dataclass, field
@@ -247,32 +249,60 @@ class SeparableKernel:
                 yield backends._gaussian(d2, ks.shape, out=out), Q
 
     def _blocks(self, Xa, Xb):
-        """sum_i kron(k_i(Xa, Xb), Q_i) laid out as an (na, m, nb, m) array."""
-        # Summed as (m, m, na, nb), whose inner loops run over the long
-        # point axis, then copied once into block layout; broadcasting into
-        # the block layout directly runs inner loops of length m.  Each
-        # Q[a, b] K product goes through one reused (na, nb) buffer.
-        S = np.zeros((self.m, self.m, len(Xa), len(Xb)))
+        """The block matrix k(Xa, Xb) in component-major order, (m, na, m, nb).
+
+        Entry [a, i, b, j] is sum_t Q_t[a, b] k_t(xa_i, xb_j): the unknowns
+        are ordered by component, then by point, so block (a, b) is the
+        (na, nb) matrix sum_t Q_t[a, b] K_t.  ``Xb`` None gives the Gramian
+        of ``Xa``, with each block symmetrized as 0.5 (S + S^T), which is
+        exactly what ``symmetrize`` makes of the point-major Gramian.
+
+        Blocks are filled in place from ``_term_matrices``, summed in term
+        order.  The coefficients are symmetric, so block (b, a) equals block
+        (a, b): only the blocks a >= b are summed, and each is copied once
+        into its mirror.
+        """
+        sym = Xb is None
+        Xb = Xa if sym else Xb
+        m = self.m
+        G = np.zeros((m, len(Xa), m, len(Xb)))
+        # each Q[a, b] K product goes through one reused (na, nb) buffer
         buf = np.empty((len(Xa), len(Xb)))
+        lower = [(a, b) for a in range(m) for b in range(a + 1)]
         for K, Q in self._term_matrices(Xa, Xb):
-            for a in range(self.m):
-                for b in range(self.m):
-                    S[a, b] += np.multiply(K, Q[a, b], out=buf)
+            for a, b in lower:
+                G[a, :, b] += np.multiply(K, Q[a, b], out=buf)
             del K  # free this term's matrix before the next one is built
-        del buf  # nor hold the buffer through the copy, the peak of this call
-        return S.transpose(2, 0, 3, 1).copy()
+        for a, b in lower:
+            blk = G[a, :, b]
+            if sym:
+                np.copyto(buf, blk.T)
+                blk += buf
+                blk *= 0.5
+            if a != b:
+                G[b, :, a] = blk
+        return G
 
     def gramian(self, X: PointSet, check_distinct=True):
-        """Block Gramian k(X, X) = sum_i kron(K_i, Q_i), shape (m n, m n)."""
+        """Block Gramian k(X, X) = sum_i kron(K_i, Q_i), shape (m n, m n).
+
+        Point-major, as the Kronecker products order it: the assembler's
+        component-major Gramian with its indices permuted.
+        """
         if check_distinct:
             X.assert_distinct()
         nm = X.n * self.m
-        return symmetrize(self._blocks(X.points, X.points).reshape(nm, nm))
+        return self._blocks(X.points, None).transpose(1, 0, 3, 2).reshape(nm, nm)
 
     def cross_many(self, Xq, X: PointSet):
-        """Cross blocks for a batch of query points, shape (q, m, m n)."""
+        """Cross blocks for a batch of query points, shape (q, m, m n).
+
+        Point-major like ``gramian``: row a of block x is sum_i
+        kron(k_i(x, X), Q_i[a]).
+        """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        return self._blocks(Xq, X.points).reshape(len(Xq), self.m, X.n * self.m)
+        C = self._blocks(Xq, X.points).transpose(1, 0, 3, 2)
+        return C.reshape(len(Xq), self.m, X.n * self.m)
 
     def apply(self, Xq, X: PointSet, A):
         """sum_j k(x, x_j) a_j at each row x of Xq, shape (q, m).

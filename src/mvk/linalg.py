@@ -112,15 +112,25 @@ class _SymFactor:
     ``rank`` counts the eigenvalues kept (the order of A on the other
     routes) and ``lam_min`` is the smallest one; it is None where no
     eigendecomposition was taken, and both are None for ``from_pinv``.
+
+    A must be exactly symmetric, and Cholesky overwrites it: A^T is then
+    A in Fortran order, so LAPACK factors it in place, writing L over the
+    upper triangle of A's rows.  A caller that needs A afterwards passes a
+    copy.  A failed Cholesky restores A from its intact lower triangle and
+    the diagonal saved before, so the fallbacks see the original matrix.
     """
 
     def __init__(self, A, strictly_pd, on_failure):
         self.rank, self.lam_min = A.shape[0], None
         if strictly_pd:
+            diag = A.diagonal().copy()
             try:
-                self.path, self._M = "cholesky", cho_factor(A, lower=True)[0]
+                self.path, self._M = "cholesky", cho_factor(
+                    A.T, lower=True, overwrite_a=True)[0]
                 return
             except LinAlgError:
+                np.copyto(A, A.T, where=~np.tri(len(A), dtype=bool))
+                np.fill_diagonal(A, diag)
                 if on_failure == "lu":
                     self.path, self._M = "lu_fallback", A
                     return
@@ -160,11 +170,15 @@ class _SymFactor:
         return self._M @ B
 
     def inner(self, C):
-        """C_q A^{-1} C_q^T (or A^+) for each (m, N) block of a (q, m, N) array.
+        """C_x A^{-1} C_x^T (or A^+) for each query x of a (k, q, N) array.
 
-        On the Cholesky route this is W_q^T W_q with W = L^{-1} C^T, one
-        triangular solve over the flat (q m, N) array; ``C`` is overwritten.
-        Not for the LU route, which only ``fit`` takes.
+        ``C`` holds the rows of the cross matrix in the component-major
+        order of ``SeparableKernel._blocks``: C[a, x] is the row of
+        component a at query x, and k is 1 for a group's scalar block.
+        Returns the (q, k, k) products.  On the Cholesky route this is
+        W_x^T W_x with W = L^{-1} C^T, one triangular solve over the flat
+        (k q, N) array; ``C`` is overwritten.  Not for the LU route, which
+        only ``fit`` takes.
         """
         Cf = C.reshape(-1, C.shape[2])
         if self.path == "cholesky":
@@ -172,11 +186,11 @@ class _SymFactor:
             # result's transpose is C-ordered again.
             W = solve_triangular(self._M, Cf.T, lower=True, overwrite_b=True).T
             W = W.reshape(C.shape)
-            return np.einsum("qan,qbn->qab", W, W)
-        # One (q m, N) x (N, N) GEMM; a 3-D C would make numpy issue one
+            return np.einsum("aqn,bqn->qab", W, W)
+        # One (k q, N) x (N, N) GEMM; a 3-D C would make numpy issue one
         # small GEMM per block.
         CP = (Cf @ self._M).reshape(C.shape)
-        return np.einsum("qan,qbn->qab", CP, C)
+        return np.einsum("aqn,bqn->qab", CP, C)
 
 
 def is_psd(A):

@@ -20,11 +20,13 @@ the scalar Gramians K_g of the distinct kernels sum_i lam_ig k_i and
 
 with P_g the scalar power function of K_g: the paper's reduction of D to
 scalar power functions, which holds beyond uncoupled kernels.  Any other
-kernel is one block, G itself.  For a strictly positive definite kernel
-a Cholesky factor K = L L^T gives c^T K^-1 c = w^T w with w = L^{-1} c,
-with no eigenvalue cutoff.  Otherwise one eigendecomposition gives the
-pseudo-inverse; a strictly pd kernel whose block fails Cholesky takes it
-too, with a warning.
+kernel is one block, G itself with its unknowns in the component-major
+order of ``SeparableKernel._blocks``; ``deficiency_many`` takes the cross
+matrix in the same order, and ``solve`` permutes in and out of it.  For
+a strictly positive definite kernel a Cholesky factor K = L L^T gives
+c^T K^-1 c = w^T w with w = L^{-1} c, with no eigenvalue cutoff.
+Otherwise one eigendecomposition gives the pseudo-inverse; a strictly pd
+kernel whose block fails Cholesky takes it too, with a warning.
 
 ``PowerEvaluator.deficiency_many`` is the one routine that computes D(x);
 the power-function, the bound factors, the error bounds and the scalar
@@ -100,10 +102,15 @@ class PowerEvaluator:
         a split each center's rows are mapped by T, solved per group and
         mapped back by T^T.
         """
+        n, m = self.centers.n, self.kernel.m
         if self.split is None:
-            return self.factors[0].solve(b)
-        n, T = self.centers.n, self.split.T
-        bt = np.einsum("da,nak->ndk", T, b.reshape(n, self.kernel.m, -1))
+            # the factor's unknowns are component-major: row (a, i) is
+            # component a at center i
+            bc = b.reshape(n, m, -1).transpose(1, 0, 2).reshape(n * m, -1)
+            x = self.factors[0].solve(bc)
+            return x.reshape(m, n, -1).transpose(1, 0, 2).reshape(b.shape)
+        T = self.split.T
+        bt = np.einsum("da,nak->ndk", T, b.reshape(n, m, -1))
         x = np.empty_like(bt)
         for J, factor in zip(self.split.groups, self.factors):
             x[:, J] = factor.solve(bt[:, J].reshape(n, -1)).reshape(n, len(J), -1)
@@ -119,7 +126,9 @@ class PowerEvaluator:
         if self.centers.n == 0:
             return self.kernel.diag_value(Xq)
         if self.split is None:
-            C = self.kernel.cross_many(Xq, self.centers)
+            # the (m q, m n) component-major cross matrix, row (a, x)
+            ((_, C),) = _blocks(self.kernel, None, self.centers, Xq)
+            C = C.reshape(self.kernel.m, len(Xq), -1)
             D = self.kernel.diag_value(Xq) - self.factors[0].inner(C)
         else:
             # k_g(x, x) and the scalar power functions, one group at a time
@@ -128,7 +137,7 @@ class PowerEvaluator:
             blocks = _blocks(self.kernel, self.split, self.centers, Xq)
             for g, factor in enumerate(self.factors):
                 J, C = next(blocks)
-                p2[:, J] = (diag[g] - factor.inner(C[:, None, :])[:, 0, 0])[:, None]
+                p2[:, J] = (diag[g] - factor.inner(C[None])[:, 0, 0])[:, None]
                 del C
             Ti = self.split.T_inv
             D = (Ti * p2[:, None, :]) @ Ti.T
@@ -142,7 +151,8 @@ class PowerEvaluator:
         ``one`` = sqrt(m) ||D||_2^(1/2).
         """
         D = self.deficiency_many(Xq)
-        two = np.sqrt(np.maximum(np.linalg.norm(D, 2, axis=(1, 2)), 0.0))
+        # D(x) is symmetric, so its 2-norm is its largest eigenvalue magnitude
+        two = np.sqrt(np.max(np.abs(np.linalg.eigvalsh(D)), axis=1))
         inf = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
         return {"two": two, "inf": inf, "one": np.sqrt(self.kernel.m) * two}
 

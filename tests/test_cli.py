@@ -1,11 +1,19 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvk import builtin
 from mvk.cli import _write_csv, counterexample_report, example2_run, main
+from mvk.decomposition import congruence_split
+from mvk.interpolation import LIN_TOL
+
+# A coupled kernel that does not split (three full-rank coefficients whose
+# whitened forms do not commute) with 40 training and 12 query points in
+# [-1, 1]^2; CI runs the console script on the same files.
+FIXTURE = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -309,3 +317,45 @@ def test_seed_changes_output(tmp_path):
     assert (
         (d1 / "residual.csv").read_bytes() != (d2 / "residual.csv").read_bytes()
     )
+
+
+def _dense_gaussian_block(Xa, Xb, doc):
+    """sum_i kron(K_i(Xa, Xb), Q_i) from exact differences, without mvk."""
+    diff = Xa[:, None, :] - Xb[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    m = doc["m"]
+    return sum(np.kron(np.exp(-t["shape"] * d2), np.reshape(t["coeff"], (m, m)))
+               for t in doc["terms"])
+
+
+def test_fit_and_bounds_on_the_unsplit_fixture(tmp_path, capsys):
+    kf, data, query = (str(FIXTURE / f) for f in
+                       ("coupled_kernel.json", "coupled_train.csv", "coupled_query.csv"))
+    model, pred = str(tmp_path / "model.json"), str(tmp_path / "pred.csv")
+    assert main(["fit", "--data", data, "--kernel", kf, "--out-model", model]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(", blocks=1)")
+    assert main(["eval", "--model", model, "--data", query, "--out-csv", pred,
+                 "--bounds", "--residual-norm", "0.5"]) == 0
+    assert read_header(pred)[-1] == "# solver: bounds path=cholesky"
+
+    doc = json.loads(Path(kf).read_text())
+    assert congruence_split([np.reshape(t["coeff"], (3, 3)) for t in doc["terms"]]) is None
+    info = json.loads(Path(model).read_text())["solver_info"]
+    assert info["path"] == "cholesky" and info["blocks"] == 1
+    assert info["residual"] <= LIN_TOL
+    _, rows = read_csv(data)
+    train = np.array(rows, dtype=float)
+    X, F = train[:, :2], train[:, 2:]
+    _, rows = read_csv(pred)
+    out = np.array(rows, dtype=float)
+    Xq, S, two = out[:, :2], out[:, 2:5], out[:, 5]
+    # the point-major dense system, solved independently
+    G = _dense_gaussian_block(X, X, doc)
+    C = _dense_gaussian_block(Xq, X, doc)
+    alpha = np.linalg.solve(G, F.reshape(-1))
+    assert np.allclose(S.reshape(-1), C @ alpha, rtol=0, atol=1e-10 * np.abs(F).max())
+    kxx = sum(np.reshape(t["coeff"], (3, 3)) for t in doc["terms"])
+    Cq = C.reshape(len(Xq), 3, -1)
+    D = kxx - np.einsum("qan,qbn->qab", Cq, np.linalg.solve(G, C.T).T.reshape(len(Xq), 3, -1))
+    spec = np.linalg.norm(0.5 * (D + np.swapaxes(D, 1, 2)), 2, axis=(1, 2))
+    assert np.allclose((two / 0.5) ** 2, spec, rtol=0, atol=1e-10 * np.linalg.norm(kxx, 2))

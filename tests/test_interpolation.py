@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvk import backends, interpolation, linalg
+from mvk import backends, decomposition, interpolation, linalg
 from mvk.interpolation import (
     ConditioningError,
     KernelMismatchError,
@@ -14,6 +14,7 @@ from mvk.interpolation import (
 )
 from mvk.kernels import DuplicateCentersError, PointSet, ScalarKernel, SeparableKernel
 from mvk.linalg import symmetrize
+from mvk.power import PowerEvaluator
 
 
 def gaussian_kernel(shapes=(1.0, 2.0)):
@@ -77,8 +78,10 @@ def test_pseudo_inverse_fit_takes_one_eigendecomposition(monkeypatch):
     k = polynomial_kernel()
     X = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     F = np.stack([k(x, np.array([0.5, 0.5]))[:, 0] for x in X.points])
-    G = k.gramian(X)
-    alpha_ref, rank_ref = linalg.pinv_sym(G) @ F.reshape(-1), linalg.rank_of(G)
+    # fit orders the unknowns by component: G with its indices permuted
+    G = k.gramian(X).reshape(3, 2, 3, 2).transpose(1, 0, 3, 2).reshape(6, 6)
+    alpha_ref = (linalg.pinv_sym(G) @ F.T.reshape(-1)).reshape(2, 3).T.reshape(-1)
+    rank_ref = linalg.rank_of(G)
 
     calls = []
     sym_eig = linalg.sym_eig
@@ -256,14 +259,15 @@ def uncoupled_kernel(shapes=(1.0, 2.0)):
 
 
 def test_split_fit_never_forms_the_gramian(monkeypatch):
+    # every block system comes from the one assembler, SeparableKernel._blocks
     X = PointSet(np.linspace(-1, 1, 8)[:, None])
     F = np.random.default_rng(5).standard_normal((8, 2))
-    gramian = SeparableKernel.gramian
+    assemble = SeparableKernel._blocks
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("the split route formed the block Gramian")
 
-    monkeypatch.setattr(SeparableKernel, "gramian", refuse)
+    monkeypatch.setattr(SeparableKernel, "_blocks", refuse)
     s = fit(uncoupled_kernel(), X, F)
     assert s.solver_info["blocks"] == 2
     assert np.allclose(s.evaluate_many(X.points), F, atol=1e-10)
@@ -272,9 +276,9 @@ def test_split_fit_never_forms_the_gramian(monkeypatch):
 
     def counting(self, *args, **kwargs):
         calls.append(1)
-        return gramian(self, *args, **kwargs)
+        return assemble(self, *args, **kwargs)
 
-    monkeypatch.setattr(SeparableKernel, "gramian", counting)
+    monkeypatch.setattr(SeparableKernel, "_blocks", counting)
     s = fit(gaussian_kernel(), X, F)
     assert not calls
     assert s.solver_info["blocks"] == 2
@@ -351,3 +355,38 @@ def test_split_fit_shares_one_distance_matrix(monkeypatch):
     assert s.solver_info["blocks"] == 3
     assert np.array_equal(s.coeffs, ref.coeffs)
     assert s.solver_info == ref.solver_info
+
+
+def test_split_is_computed_once_per_coefficient_family(monkeypatch):
+    # fit and PowerEvaluator.build share one memoized congruence split
+    rng = np.random.default_rng(21)
+    B = rng.standard_normal((2, 2))
+    k = SeparableKernel.create([
+        (ScalarKernel.gaussian(1.0), B @ B.T + np.eye(2)),
+        (ScalarKernel.gaussian(2.0), np.diag([1.0, 0.5])),
+    ])
+    X = PointSet(np.linspace(-1, 1, 6)[:, None])
+    F = rng.standard_normal((6, 2))
+    decomposition._congruence_split.cache_clear()
+    calls = []
+    check = decomposition.commuting_family_check
+
+    def counting(mats):
+        calls.append(1)
+        return check(mats)
+
+    monkeypatch.setattr(decomposition, "commuting_family_check", counting)
+    fits = [fit(k, X, F) for _ in range(3)]
+    pe = PowerEvaluator.build(k, X)
+    assert len(calls) == 1
+    assert all(np.array_equal(s.coeffs, fits[0].coeffs) for s in fits)
+    split = pe.split
+    for arr in (split.T, split.T_inv, split.lam, *split.groups):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        split.T[0, 0] = 0.0
+    # the memo returns what a fresh computation gives
+    decomposition._congruence_split.cache_clear()
+    fresh = decomposition.congruence_split(k.coefficients())
+    assert len(calls) == 2
+    assert np.array_equal(fresh.T, split.T) and np.array_equal(fresh.lam, split.lam)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from mvk.decomposition import congruence_split
 
 from mvk.interpolation import NativeSpanFunction, fit, native_norm_sq, residual_norm_sq
 from mvk.kernels import DuplicateCentersError, PointSet, ScalarKernel, SeparableKernel
@@ -256,3 +260,27 @@ def test_build_warns_when_cholesky_fails():
     assert pe.path == "pseudo_inverse"
     # the warning points at the caller of build
     assert record[0].filename == __file__
+
+
+def test_unsplit_build_peaks_below_one_and_a_half_gramians():
+    # the block Gramian is assembled in place, block by block, and factored
+    # in place: next to it live only one term's matrix, the shared
+    # distances and one (n, n) buffer, 1/3 of a Gramian at m = 3.  An
+    # (m, m, n, n) sum with a layout copy, or a factor copy, peaks at 2.
+    rng = np.random.default_rng(3)
+    terms = []
+    for shape in (50.0, 100.0, 200.0):
+        A = rng.standard_normal((3, 3))
+        terms.append((ScalarKernel.gaussian(shape), A @ A.T / 3 + 0.1 * np.eye(3)))
+    k = SeparableKernel.create(terms)
+    assert congruence_split(k.coefficients()) is None
+    X = PointSet(rng.uniform(-1, 1, (200, 2)))
+    gramian_bytes = (200 * 3) ** 2 * 8
+    tracemalloc.start()
+    try:
+        pe = PowerEvaluator.build(k, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pe.path == "cholesky"
+    assert peak < 1.5 * gramian_bytes

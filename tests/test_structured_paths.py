@@ -9,7 +9,9 @@ as centers are added, and the additivity gap is nonnegative and vanishes
 for uncoupled kernels.  The congruence split of ``fit`` and
 ``PowerEvaluator`` (one scalar system per distinct kernel) is compared with
 a dense Cholesky solve of the block Gramian, on uncoupled kernels and on
-coupled ones that split.
+coupled ones that split.  Kernels that do not split take the
+component-major block Gramian, which is compared with the dense
+point-major system on every route of its factor.
 """
 
 import numpy as np
@@ -19,10 +21,10 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from mvk import NativeSpanFunction, PointSet, PowerEvaluator, ScalarKernel, SeparableKernel
-from mvk.decomposition import orthogonal_products
+from mvk.decomposition import congruence_split, orthogonal_products
 from mvk.interpolation import ConditioningError, Interpolant, fit
 from mvk.power import power_additivity_check, scalar_power_sq
-from mvk.linalg import symmetrize
+from mvk.linalg import RANK_TOL, ZERO_FLOOR, symmetrize
 
 # Relative tolerance against the dense reference, on the scale of the sum
 # of absolute products, so that cancellation cannot hide an error.
@@ -383,3 +385,104 @@ def test_congruence_split_matches_dense_block_route(problem):
     assert np.max(np.abs(pe.deficiency_many(Xq) - D_ref)) <= tol * scale
     G_inv = cho_solve(factor, np.eye(n * m))
     assert np.linalg.norm(pe.gram_pinv - G_inv) <= tol * np.linalg.norm(G_inv)
+
+
+def _unsplit(problem):
+    return congruence_split(problem[0].coefficients()) is None
+
+
+def _dense_inverse(G, pseudo):
+    """G^-1, or G^+ at RANK_TOL, from one eigh; also its condition number."""
+    w, V = np.linalg.eigh(G)
+    aw = np.abs(w)
+    kept = aw > RANK_TOL * max(aw.max(), ZERO_FLOOR) if pseudo else aw > 0
+    # an eigenvalue at the cutoff can fall on either side of it under roundoff
+    if pseudo and np.any(np.abs(aw / (RANK_TOL * max(aw.max(), ZERO_FLOOR)) - 1) <= 1e-3):
+        assume(False)
+    inv = (V[:, kept] / w[kept]) @ V[:, kept].T
+    return inv, int(kept.sum()), aw.max() / aw[kept].min()
+
+
+def _check_block_route(kernel, X, Xq, F):
+    """fit and PowerEvaluator on an unsplit kernel against the dense system.
+
+    The reference is the point-major G = sum_i kron(K_i, Q_i), inverted by
+    eigh (pseudo-inverted at RANK_TOL on the pseudo-inverse route), and the
+    block route must agree with it within FWD_C eps cond(G), cond over the
+    eigenvalues kept.  Over 5,000 draws of ``problems()`` that do not
+    split, the largest error was 10.5 eps cond (G^+ on the pseudo-inverse
+    route) and the residuals differed by at most 0.23 times their roundoff
+    floor.  Returns the path of ``fit``.
+    """
+    m, n, eps = kernel.m, X.n, np.finfo(float).eps
+    G = symmetrize(sum(np.kron(ks.cross(X.points, X.points), Q) for ks, Q in kernel.terms))
+    C = kernel.cross_many(Xq, X)
+    Cf = C.reshape(len(Xq) * m, n * m)
+    f = F.reshape(-1)
+
+    s = fit(kernel, X, F, lu_fallback=True)
+    path = s.solver_info["path"]
+    assert path in (("cholesky", "lu_fallback") if kernel.strictly_pd else ("pseudo_inverse",))
+    assert s.solver_info["blocks"] == 1
+    G_inv, rank, cond = _dense_inverse(G, path == "pseudo_inverse")
+    assert s.solver_info["rank_used"] == (rank if path == "pseudo_inverse" else n * m)
+    ref = G_inv @ f
+    # on the scale ||G^+|| ||f||: the kept eigenvectors of the two layouts
+    # differ by a rotation of order eps cond, which a minimal-norm solution
+    # far smaller than ||G^+|| ||f|| does not absorb
+    tol, bound = FWD_C * eps * cond, np.linalg.norm(G_inv, 2) * np.linalg.norm(f)
+    assert np.linalg.norm(s.coeffs - ref) <= tol * bound
+    pred_err = np.linalg.norm(s.evaluate_many(Xq).reshape(-1) - Cf @ ref)
+    assert pred_err <= tol * np.linalg.norm(Cf, 2) * bound
+    dense = np.linalg.norm(G @ s.coeffs - f) / np.linalg.norm(f)
+    floor = eps * np.linalg.norm(G, 2) * np.linalg.norm(s.coeffs) / np.linalg.norm(f)
+    assert abs(s.solver_info["residual"] - dense) <= max(1e-12, RES_C * floor)
+
+    pe = PowerEvaluator.build(kernel, X)
+    assert pe.split is None and len(pe.factors) == 1
+    G_inv, _, cond = _dense_inverse(G, pe.path == "pseudo_inverse")
+    tol = FWD_C * eps * cond
+    assert np.linalg.norm(pe.gram_pinv - G_inv) <= tol * np.linalg.norm(G_inv)
+    assert np.linalg.norm(pe.solve(f) - G_inv @ f) <= tol * np.linalg.norm(G_inv) * np.linalg.norm(f)
+    kxx = kernel.diag_value(Xq)
+    D_ref = kxx - np.einsum("qan,nqb->qab", C, (G_inv @ Cf.T).reshape(n * m, len(Xq), m))
+    D_ref = 0.5 * (D_ref + np.swapaxes(D_ref, 1, 2))
+    scale = (np.max(np.linalg.norm(kxx, 2, axis=(1, 2)))
+             + np.linalg.norm(Cf, 2) ** 2 * np.linalg.norm(G_inv, 2))
+    assert np.max(np.abs(pe.deficiency_many(Xq) - D_ref)) <= tol * scale
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:ill-conditioned interpolation system")
+@pytest.mark.filterwarnings("ignore:Cholesky failed")
+@SETTINGS
+@given(problems().filter(_unsplit))
+def test_unsplit_kernels_match_dense_point_major_route(problem):
+    kernel, X, Xq, A = problem
+    _check_block_route(kernel, X, Xq, A)
+
+
+def _route_problem(shapes, n, poly=False):
+    # three coefficients whose whitened forms do not commute: no split
+    Qs = [np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2), np.diag([1.0, 0.0])]
+    scalars = [ScalarKernel.gaussian(a) for a in shapes]
+    if poly:
+        scalars[1] = ScalarKernel.polynomial(2)
+    kernel = SeparableKernel.create(list(zip(scalars, Qs)))
+    rng = np.random.default_rng(n)
+    X = PointSet(np.linspace(-1, 1, n)[:, None])
+    return kernel, X, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((n, 2))
+
+
+# One unsplit problem per route of the factor: Cholesky, the LU fallback of
+# a Gramian that does not factor, and the pseudo-inverse of a kernel with a
+# polynomial term.
+@pytest.mark.filterwarnings("ignore:Cholesky failed")
+@pytest.mark.parametrize("route, problem", [
+    ("cholesky", _route_problem((2.0, 5.0, 3.0), 8)),
+    ("lu_fallback", _route_problem((0.5, 1.0, 2.0), 20)),
+    ("pseudo_inverse", _route_problem((2.0, 5.0, 3.0), 8, poly=True)),
+])
+def test_block_route_matches_dense_reference_on_every_route(route, problem):
+    assert _unsplit(problem)
+    assert _check_block_route(*problem) == route
