@@ -393,10 +393,9 @@ def cmd_fit(args):
         raise SystemExit(
             f"error: data has {m} value columns but the kernel expects {kernel.m}"
         )
-    pts = PointSet(X, d=d)
     try:
-        s = fit(kernel, pts, F)
-    except ConditioningError as err:
+        s = fit(kernel, PointSet(X, d=d), F)
+    except (ConditioningError, ValueError) as err:
         raise SystemExit(f"error: {err}")
     save_model(s, args.out_model)
     info = s.solver_info
@@ -406,6 +405,10 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
+    if not (np.isfinite(args.residual_norm) and args.residual_norm >= 0):
+        raise SystemExit(
+            f"error: --residual-norm must be finite and >= 0, got {args.residual_norm}"
+        )
     s = load_model(args.model)
     X, _, d, _ = _read_data_csv(args.data)
     if d != s.centers.d and s.centers.n:
@@ -439,10 +442,10 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_default="out"):
+    def common(sp):
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=out_default, help="output directory")
+        sp.add_argument("--out", default="out", help="output directory")
 
     sp = sub.add_parser("example1", help="error decay over center counts")
     common(sp)

@@ -10,10 +10,13 @@ whose coefficients split by one congruence T (T Q_i T^T diagonal, see
 per distinct kernel sum_i lam_ig k_i, without the block Gramian; the
 paper's uncoupled kernels split this way with one block per term.  Any
 other kernel gives the block Gramian as its one block, assembled in place
-by ``SeparableKernel._blocks`` with the unknowns ordered by component:
-``fit`` permutes the data into that order and the coefficients back, so
-``coeffs`` keeps the point-major layout of ``gramian``.  ``_blocks``
-builds the blocks for ``fit`` and ``PowerEvaluator`` alike.
+by ``SeparableKernel._blocks`` with the unknowns ordered by component.
+``_blocks`` builds the blocks for ``fit`` and ``PowerEvaluator`` alike,
+and data enter and leave them through one routine, ``_block_solve``:
+F T^T in, each block's right-hand sides stacked in its order, B T out, so
+``coeffs`` keeps the point-major layout of ``gramian``.  ``fit`` and
+``PowerEvaluator.solve`` share it, so on the same factors they give the
+same coefficients bit for bit.
 """
 
 import json
@@ -78,7 +81,8 @@ def fit(kernel, X, values, lu_fallback=False):
     full system is R T^-T, R the block residuals.  Any other kernel is one
     block, the block Gramian k(X, X) in component-major order: the data
     enter as the columns of F stacked, and the solution is read back the
-    same way.
+    same way.  Both mappings are ``_block_solve``'s.  Non-finite
+    ``values`` raise ValueError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if X.n == 0:
@@ -86,31 +90,25 @@ def fit(kernel, X, values, lu_fallback=False):
             "path": "empty", "residual": 0.0, "rank_used": 0, "blocks": 0})
     if values.shape != (X.n, kernel.m):
         raise ValueError(f"values must have shape ({X.n}, {kernel.m})")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain non-finite entries")
     X.assert_distinct()
 
     split = _split(kernel)
-    F = values if split is None else values @ split.T.T
-    B, R = np.empty_like(F), np.empty_like(F)
-    rank_used, paths = 0, []
-    for J, A in _blocks(kernel, split, X):
-        # the factor overwrites its matrix; the residual below needs A
+    solved = []  # (path, rank used) of each block
+
+    def solve(A, rhs):
+        # the factor overwrites its matrix; the residual needs A
         factor = _SymFactor(A.copy(), kernel.strictly_pd, "lu" if lu_fallback else "raise")
-        # F[:, J]^T is component-major, row a = component a at every center;
-        # its rows of len(A) give (n, |J|) on a group's block and one
-        # stacked column on the component-major Gramian
-        rhs = F[:, J].T.reshape(-1, len(A)).T
-        sol = factor.solve(rhs)
-        B[:, J] = sol.T.reshape(-1, X.n).T
-        R[:, J] = (A @ sol - rhs).T.reshape(-1, X.n).T
-        rank_used += factor.rank * sol.shape[1]
-        paths.append(factor.path)
-        del A, factor  # free this block before the next one is built
-    if split is not None:
-        B, R = B @ split.T, R @ split.T_inv.T
+        solved.append((factor.path, factor.rank * rhs.shape[1]))
+        return factor.solve(rhs)
+
+    B, R = _block_solve(split, values[:, :, None], _blocks(kernel, split, X), solve,
+                        residual=True)
 
     scale = max(np.linalg.norm(values), 1e-300)
     residual = float(np.linalg.norm(R) / scale)
-    path = _path(paths)
+    path = _path([p for p, _ in solved])
     if path == "cholesky" and residual > LIN_TOL:
         warnings.warn(
             f"ill-conditioned interpolation system: relative residual "
@@ -119,8 +117,8 @@ def fit(kernel, X, values, lu_fallback=False):
             stacklevel=2,
         )
     return Interpolant(kernel, X, B.reshape(-1), {
-        "path": path, "residual": residual, "rank_used": rank_used,
-        "blocks": len(paths)})
+        "path": path, "residual": residual, "rank_used": sum(r for _, r in solved),
+        "blocks": len(solved)})
 
 
 def _path(paths):
@@ -175,6 +173,39 @@ def _blocks(kernel, split, X, Xq=None):
         for g in users[i]:
             if done_at[g] == i:
                 yield split.groups[g], symmetrize(acc.pop(g)) if Xq is None else acc.pop(g)
+
+
+def _block_solve(split, F, blocks, solve, residual=False):
+    """Solve the system of data F, an (n, m, k) array, block by block.
+
+    The one mapping between data and the blocks of ``_blocks``, shared by
+    ``fit`` and ``PowerEvaluator.solve``.  With a split, F enters T
+    coordinates as F T^T, one (n k, m) GEMM; without one it enters as is.
+    ``blocks`` yields (J, A), A a block matrix or its factor, and
+    ``solve(A, rhs)`` solves the block.  F[:, J]^T is (k, |J|, n), and its
+    rows of N entries are the block's right-hand sides: N = n gives
+    (n, k |J|) on a group's scalar block, N = n m the (n m, k)
+    component-major stack on the block Gramian.  Solutions are unstacked
+    the same way and leave T coordinates by T (alpha = B T).  With
+    ``residual`` (A then a matrix), A sol - rhs is unstacked too and leaves
+    by T^-T.  Returns the (n, m, k) coefficients and residuals, the latter
+    None without ``residual``.
+    """
+    N = len(F) * (1 if split is not None else F.shape[1])
+    F = F if split is None else np.tensordot(F, split.T.T, (1, 0)).transpose(0, 2, 1)
+    B, R = np.empty_like(F), np.empty_like(F) if residual else None
+    for J, A in blocks:
+        FJ = F[:, J]
+        rhs = FJ.T.reshape(-1, N).T
+        sol = solve(A, rhs)
+        B[:, J] = sol.T.reshape(FJ.T.shape).T
+        if residual:
+            R[:, J] = (A @ sol - rhs).T.reshape(FJ.T.shape).T
+        del A  # free this block before the next one is built
+    if split is not None:
+        B = np.tensordot(B, split.T, (1, 0)).transpose(0, 2, 1)
+        R = R if R is None else np.tensordot(R, split.T_inv.T, (1, 0)).transpose(0, 2, 1)
+    return B, R
 
 
 @dataclass(frozen=True)

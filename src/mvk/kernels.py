@@ -220,10 +220,7 @@ class SeparableKernel:
         """Evaluate the m x m kernel value at a pair of points."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         y = _as_point(y, x.shape[0])
-        out = np.zeros((self.m, self.m))
-        for ks, Q in self.terms:
-            out += ks(x, y) * Q
-        return out
+        return self._blocks(x[None], y[None])[:, 0, :, 0]
 
     def diag_value(self, x):
         """k(x, x); for x an (q, d) array returns (q, m, m)."""

@@ -22,8 +22,10 @@ with P_g the scalar power function of K_g: the paper's reduction of D to
 scalar power functions, which holds beyond uncoupled kernels.  Any other
 kernel is one block, G itself with its unknowns in the component-major
 order of ``SeparableKernel._blocks``; ``deficiency_many`` takes the cross
-matrix in the same order, and ``solve`` permutes in and out of it.  For
-a strictly positive definite kernel a Cholesky factor K = L L^T gives
+matrix in the same order.  ``solve`` maps its right-hand sides into the
+blocks and back through ``fit``'s routine, ``interpolation._block_solve``,
+so on the same factors it gives ``fit``'s coefficients bit for bit.  For a
+strictly positive definite kernel a Cholesky factor K = L L^T gives
 c^T K^-1 c = w^T w with w = L^{-1} c, with no eigenvalue cutoff.
 Otherwise one eigendecomposition gives the pseudo-inverse; a strictly pd
 kernel whose block fails Cholesky takes it too, with a warning.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import CongruenceSplit
-from .interpolation import _blocks, _path, _split
+from .interpolation import _block_solve, _blocks, _path, _split
 from .kernels import PointSet, ScalarKernel, SeparableKernel
 from .linalg import PSD_TOL, _SymFactor, pinv_sym
 
@@ -52,8 +54,10 @@ class PowerEvaluator:
     """The Gramian of a kernel on a set of centers, factored for power queries.
 
     ``split`` is the congruence split the blocks follow, as in ``fit``, or
-    None for the one block Gramian; ``factors`` holds one factor per block,
-    in the order of ``split.groups``.  ``path`` is ``"cholesky"`` or
+    None for the one block Gramian; ``factors`` holds one (J, factor) pair
+    per block, J the block's directions as ``interpolation._blocks`` yields
+    them: the groups of ``split`` in order, or ``slice(None)`` for the one
+    block Gramian.  ``path`` is ``"cholesky"`` or
     ``"pseudo_inverse"`` (see ``build``).
     """
 
@@ -75,17 +79,15 @@ class PowerEvaluator:
         centers.assert_distinct()
         split = _split(kernel)
         factors = []
-        for _, A in _blocks(kernel, split, centers):
-            if rank_tol is not None:
-                factors.append(_SymFactor.from_pinv(pinv_sym(A, rank_tol)))
-            else:
-                factors.append(_SymFactor(A, kernel.strictly_pd, "eigh"))
+        for J, A in _blocks(kernel, split, centers):
+            factors.append((J, _SymFactor(A, kernel.strictly_pd, "eigh") if rank_tol is None
+                            else _SymFactor.from_pinv(pinv_sym(A, rank_tol))))
             del A
         return cls(kernel, centers, split, tuple(factors))
 
     @property
     def path(self):
-        return _path([f.path for f in self.factors])
+        return _path([f.path for _, f in self.factors])
 
     @property
     def gram_pinv(self):
@@ -98,23 +100,14 @@ class PowerEvaluator:
     def solve(self, b):
         """G^{-1} b on the Cholesky route, G^+ b on the pseudo-inverse route.
 
-        ``b`` is stacked like the coefficients, (n m,) or (n m, k).  Through
-        a split each center's rows are mapped by T, solved per group and
-        mapped back by T^T.
+        ``b`` is stacked like the coefficients, (n m,) or (n m, k).  It is
+        solved block by block through ``fit``'s mapping
+        (``interpolation._block_solve``): in T coordinates through a split,
+        in the component-major order of the one block Gramian without one.
         """
         n, m = self.centers.n, self.kernel.m
-        if self.split is None:
-            # the factor's unknowns are component-major: row (a, i) is
-            # component a at center i
-            bc = b.reshape(n, m, -1).transpose(1, 0, 2).reshape(n * m, -1)
-            x = self.factors[0].solve(bc)
-            return x.reshape(m, n, -1).transpose(1, 0, 2).reshape(b.shape)
-        T = self.split.T
-        bt = np.einsum("da,nak->ndk", T, b.reshape(n, m, -1))
-        x = np.empty_like(bt)
-        for J, factor in zip(self.split.groups, self.factors):
-            x[:, J] = factor.solve(bt[:, J].reshape(n, -1)).reshape(n, len(J), -1)
-        return np.einsum("da,ndk->nak", T, x).reshape(b.shape)
+        x, _ = _block_solve(self.split, b.reshape(n, m, -1), self.factors, _SymFactor.solve)
+        return x.reshape(b.shape)
 
     def deficiency_many(self, Xq):
         """Deficiency matrices for a (q, d) batch, returns (q, m, m).
@@ -129,13 +122,13 @@ class PowerEvaluator:
             # the (m q, m n) component-major cross matrix, row (a, x)
             ((_, C),) = _blocks(self.kernel, None, self.centers, Xq)
             C = C.reshape(self.kernel.m, len(Xq), -1)
-            D = self.kernel.diag_value(Xq) - self.factors[0].inner(C)
+            D = self.kernel.diag_value(Xq) - self.factors[0][1].inner(C)
         else:
             # k_g(x, x) and the scalar power functions, one group at a time
             diag = self.split.lam.T @ [ks.diag(Xq) for ks, _ in self.kernel.terms]
             p2 = np.empty((len(Xq), self.kernel.m))
             blocks = _blocks(self.kernel, self.split, self.centers, Xq)
-            for g, factor in enumerate(self.factors):
+            for g, (_, factor) in enumerate(self.factors):
                 J, C = next(blocks)
                 p2[:, J] = (diag[g] - factor.inner(C[None])[:, 0, 0])[:, None]
                 del C

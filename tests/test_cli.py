@@ -297,6 +297,39 @@ def test_fit_dimension_mismatch(tmp_path):
               "--out-model", str(tmp_path / "m.json")])
 
 
+@pytest.mark.parametrize("column", ["x_1", "f_2"])
+def test_fit_rejects_non_finite_data(tmp_path, column):
+    kf = write_kernel(tmp_path / "k.json", well_conditioned_kernel())
+    X = np.linspace(-1, 1, 5)[:, None]
+    F = np.stack([X[:, 0], X[:, 0] ** 2], axis=1)
+    if column == "x_1":
+        X[2, 0] = np.nan
+    else:
+        F[2, 1] = np.inf
+    data = write_data(tmp_path / "train.csv", X, F)
+    model = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", data, "--kernel", kf, "--out-model", str(model)])
+    assert str(exc.value.code).startswith("error: ")
+    assert "non-finite" in str(exc.value.code)
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("norm", ["-1", "nan", "inf"])
+def test_eval_rejects_bad_residual_norm(tmp_path, norm):
+    kf = write_kernel(tmp_path / "k.json", well_conditioned_kernel())
+    X = np.linspace(-1, 1, 5)[:, None]
+    data = write_data(tmp_path / "train.csv", X, np.stack([X[:, 0], X[:, 0] ** 2], axis=1))
+    model = str(tmp_path / "model.json")
+    assert main(["fit", "--data", data, "--kernel", kf, "--out-model", model]) == 0
+    out = tmp_path / "pred.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", model, "--data", data, "--out-csv", str(out),
+              "--bounds", "--residual-norm", norm])
+    assert str(exc.value.code).startswith("error: --residual-norm")
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"centers": {"n": 5}}))

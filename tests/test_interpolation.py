@@ -107,6 +107,23 @@ def test_fit_shape_validation():
         fit(k, X, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("kernel", [gaussian_kernel, unsplit_kernel, polynomial_kernel])
+def test_fit_and_evaluator_solve_agree_bit_for_bit(kernel):
+    # fit and PowerEvaluator.solve map the data into the blocks and back
+    # through one routine, so the same factors give the same coefficients
+    k = kernel()
+    rng = np.random.default_rng(5)
+    X = PointSet(rng.uniform(-1, 1, (9, 2)))
+    F = rng.standard_normal((9, 2))
+    s = fit(k, X, F)
+    pe = PowerEvaluator.build(k, X)
+    expected = {gaussian_kernel: (True, "cholesky"), unsplit_kernel: (False, "cholesky"),
+                polynomial_kernel: (False, "pseudo_inverse")}[kernel]
+    assert (pe.split is not None, pe.path) == expected
+    assert s.solver_info["path"] == pe.path
+    assert np.array_equal(s.coeffs, pe.solve(F.reshape(-1)))
+
+
 def test_fit_empty_centers():
     k = gaussian_kernel()
     s = fit(k, PointSet([], d=1), np.zeros((0, 2)))
@@ -131,6 +148,25 @@ def test_fit_conditioning_error_and_fallback():
     s = fit(k, X, F, lu_fallback=True)
     assert s.solver_info["path"] == "lu_fallback"
     assert s.coeffs.shape == (80,)
+
+
+@pytest.mark.parametrize("route", ["cholesky", "lu_fallback", "pseudo_inverse"])
+def test_fit_rejects_non_finite_values(route):
+    if route == "pseudo_inverse":
+        k, X = polynomial_kernel(), PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        F, bad = np.ones((3, 2)), np.nan
+    elif route == "lu_fallback":
+        k, X, F = ill_conditioned_problem()
+        bad = np.inf
+    else:
+        k, X = gaussian_kernel(), PointSet(np.linspace(-1, 1, 8)[:, None])
+        F, bad = np.ones((8, 2)), np.nan
+    # the finite data take the route named
+    assert fit(k, X, F, lu_fallback=True).solver_info["path"] == route
+    F = F.copy()
+    F[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(k, X, F, lu_fallback=route == "lu_fallback")
 
 
 def test_native_norm_of_single_translate():

@@ -128,6 +128,10 @@ def test_block_assembly_matches_kron_sum(problem):
     C_ref = sum(np.kron(ks.cross(Xq, X.points), Q) for ks, Q in kernel.terms)
     C = kernel.cross_many(Xq, X)
     assert np.array_equal(C.reshape(len(Xq) * m, X.n * m), C_ref)
+    # one pair of points, also a point with itself, is assembled the same way
+    for x, y in [*zip(Xq, X.points), (X.points[0], X.points[0])]:
+        k_ref = sum(np.kron(ks.cross(x[None], y[None]), Q) for ks, Q in kernel.terms)
+        assert np.array_equal(kernel(x, y), k_ref)
 
 
 def _law_tol(kernel, X):
