@@ -151,7 +151,7 @@ def _blocks(kernel, split, X, Xq=None):
     if split is None:
         Xa = X.points if Xq is None else Xq
         yield slice(None), kernel._blocks(Xa, None if Xq is None else X.points).reshape(
-            kernel.m * len(Xa), -1)
+            kernel.m * len(Xa), kernel.m * X.n)
         return
     lam = split.lam
     users = [np.flatnonzero(row) for row in lam]

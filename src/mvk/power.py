@@ -104,8 +104,11 @@ class PowerEvaluator:
         solved block by block through ``fit``'s mapping
         (``interpolation._block_solve``): in T coordinates through a split,
         in the component-major order of the one block Gramian without one.
+        Without centers there are no unknowns, and the result is empty.
         """
         n, m = self.centers.n, self.kernel.m
+        if n == 0:
+            return np.zeros((0,) + b.shape[1:])
         x, _ = _block_solve(self.split, b.reshape(n, m, -1), self.factors, _SymFactor.solve)
         return x.reshape(b.shape)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvk import builtin
+from mvk.backends import EXP_FLOOR
 from mvk.cli import _write_csv, counterexample_report, example2_run, main
 from mvk.decomposition import congruence_split
 from mvk.interpolation import LIN_TOL
@@ -361,9 +362,13 @@ def _dense_gaussian_block(Xa, Xb, doc):
                for t in doc["terms"])
 
 
-def test_fit_and_bounds_on_the_unsplit_fixture(tmp_path, capsys):
-    kf, data, query = (str(FIXTURE / f) for f in
-                       ("coupled_kernel.json", "coupled_train.csv", "coupled_query.csv"))
+def _check_fit_and_bounds_on_fixture(tmp_path, capsys, kf):
+    """``fit`` + ``eval --bounds`` with kernel file kf on the fixture's points.
+
+    Checks the route and, against the dense solve, the predictions and
+    ||D(x)||_2; returns the training and the query points.
+    """
+    data, query = (str(FIXTURE / f) for f in ("coupled_train.csv", "coupled_query.csv"))
     model, pred = str(tmp_path / "model.json"), str(tmp_path / "pred.csv")
     assert main(["fit", "--data", data, "--kernel", kf, "--out-model", model]) == 0
     assert capsys.readouterr().out.rstrip().endswith(", blocks=1)")
@@ -392,3 +397,24 @@ def test_fit_and_bounds_on_the_unsplit_fixture(tmp_path, capsys):
     D = kxx - np.einsum("qan,qbn->qab", Cq, np.linalg.solve(G, C.T).T.reshape(len(Xq), 3, -1))
     spec = np.linalg.norm(0.5 * (D + np.swapaxes(D, 1, 2)), 2, axis=(1, 2))
     assert np.allclose((two / 0.5) ** 2, spec, rtol=0, atol=1e-10 * np.linalg.norm(kxx, 2))
+    return X, Xq
+
+
+def test_fit_and_bounds_on_the_unsplit_fixture(tmp_path, capsys):
+    _check_fit_and_bounds_on_fixture(tmp_path, capsys, str(FIXTURE / "coupled_kernel.json"))
+
+
+def test_fit_and_bounds_through_the_exp_floor(tmp_path, capsys):
+    # The fixture's kernel with shapes 200/400/800: exp(-eps d^2) of some
+    # pairs of training points, and of query and training points, lies
+    # below exp(EXP_FLOOR) and is flushed to 0.  Shapes 5/10/20 never get
+    # there.
+    doc = json.loads((FIXTURE / "coupled_kernel.json").read_text())
+    for t, shape in zip(doc["terms"], (200.0, 400.0, 800.0)):
+        t["shape"] = shape
+    kf = tmp_path / "kernel.json"
+    kf.write_text(json.dumps(doc))
+    X, Xq = _check_fit_and_bounds_on_fixture(tmp_path, capsys, str(kf))
+    for Xa in (X, Xq):
+        diff = Xa[:, None, :] - X[None, :, :]
+        assert np.any(-800.0 * np.einsum("ijk,ijk->ij", diff, diff) < EXP_FLOOR)

@@ -132,6 +132,16 @@ def test_fit_empty_centers():
     assert s.evaluate_many(np.array([[0.3], [0.4]])).shape == (2, 2)
 
 
+@pytest.mark.parametrize("kernel", [gaussian_kernel, unsplit_kernel])
+def test_evaluator_solve_without_centers_is_empty(kernel):
+    # like fit's empty interpolant: no unknowns, with or without a split
+    pe = PowerEvaluator.build(kernel(), PointSet([], d=1))
+    assert (pe.split is not None) == (kernel is gaussian_kernel)
+    for b in (np.zeros(0), np.zeros((0, 3))):
+        assert pe.solve(b).shape == b.shape
+    assert pe.gram_pinv.shape == (0, 0)
+
+
 def ill_conditioned_problem():
     # wide Gaussian on many close 1-d points: Cholesky breaks down
     k = SeparableKernel.create([(ScalarKernel.gaussian(0.05), np.eye(2))])
