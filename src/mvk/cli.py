@@ -49,6 +49,9 @@ EXAMPLE2_TEST_GRID = 20
 # a 1e-10 cutoff it swamps the deficiency matrix once a block's Gramian is
 # numerically rank-deficient at large center counts.
 EXAMPLE2_RANK_TOL = 1e-8
+# Rows per chunk of a CSV table: large enough that the per-chunk numpy calls
+# cost little, small enough that a chunk's field strings stay a few MB.
+CHUNK = 4096
 
 
 def _fmt(v):
@@ -71,28 +74,53 @@ def _header(command, cfg):
     ]
 
 
-def _write_csv(path, header, columns, rows):
+def _chunk_fields(col, empty):
+    """Fields and their format for one chunk of a column.
+
+    An int column is written as ``%d`` and an object column as ``%.17g``
+    with None as the field ``empty``.  In a float column each distinct bit
+    pattern is formatted once, so -0.0 and 0.0 stay apart: a chunk that
+    repeats values gets its distinct values formatted with one ``%`` call
+    and gathered by the inverse index, under ``%s``.  A chunk with more than
+    half of its values distinct is passed on as floats under ``%.17g``; the
+    row format formats each once, and gathering would only add a pass.
+    """
+    if col.dtype.kind in "iu":
+        return col, "%d"
+    if col.dtype.kind == "O":
+        return [empty if v is None else "%.17g" % v for v in col.tolist()], "%s"
+    bits, inv = np.unique(col.astype(np.float64, copy=False).view(np.int64),
+                          return_inverse=True)
+    if 2 * len(bits) > len(col):
+        return col, "%.17g"
+    vals = tuple(bits.view(np.float64).tolist())
+    return np.array(("%.17g," * len(vals) % vals).split(",")[:-1], dtype=object)[inv], "%s"
+
+
+def _write_csv(path, header, names, columns):
     """Header lines, the column names and one CSV line per row.
 
-    Each row is written as ``fmt % row`` with one format string per table,
-    made from the first row: ``%d`` for an int and ``%.17g`` for a float.
-    A row with a None in it is written field by field, None as an empty
-    field.  Lines end in ``\r\n``, as csv writes them.
+    ``columns`` are equal-length 1-D int, float or object columns (see
+    ``_chunk_fields``).  Rows go out in chunks of CHUNK, each written with
+    one ``(row_fmt * rows) % fields``.  Lines end in ``\r\n``, as csv
+    writes them.
     """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    # csv quotes a lone empty field, so the row is not read as a blank line
+    empty = '""' if len(columns) == 1 else ""
+    fmts = [None] * len(columns)
     with open(path, "w", newline="") as fh:
         for line in header:
             fh.write(line + "\n")
-        csv.writer(fh).writerow(columns)
-        fmt = None
-        for row in rows:
-            row = tuple(row)
-            if fmt is None:
-                fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in row) + "\r\n"
-            try:
-                fh.write(fmt % row)
-            except TypeError:
-                fh.write(",".join("" if v is None else _fmt(v) if isinstance(v, float)
-                                  else str(v) for v in row) + "\r\n")
+        csv.writer(fh).writerow(names)
+        for lo in range(0, n, CHUNK):
+            rows = min(CHUNK, n - lo)
+            fields = np.empty((rows, len(columns)), dtype=object)
+            for j, c in enumerate(columns):
+                fields[:, j], fmts[j] = _chunk_fields(c[lo : lo + rows], empty)
+            row_fmt = ",".join(fmts) + "\r\n"
+            fh.write((row_fmt * rows) % tuple(fields.ravel().tolist()))
 
 
 def _write_text(path, command, cfg, lines):
@@ -145,12 +173,11 @@ def cmd_example1(args):
         }
         for name, res in results.items():
             cols = [f"shape_g{g}" for g in sorted(res.shapes)]
-            rows = ((i, *r) for i, r in enumerate(res.table.tolist()))
             _write_csv(
                 out / f"tuning_{name}.csv",
                 _header("example1", eff),
                 ["candidate"] + cols + ["max_validation_error"],
-                rows,
+                [np.arange(len(res.table))] + list(res.table.T),
             )
     else:
         shapes = dict(builtin.REFERENCE_SHAPES)
@@ -173,7 +200,7 @@ def cmd_example1(args):
                 row.append(None)
         rows.append(row)
     _write_csv(out / "decay.csv", _header("example1", eff),
-               ["N"] + [f"err_{n}" for n in names], rows)
+               ["N"] + [f"err_{n}" for n in names], list(zip(*rows)))
 
     lines = ["covariance eigenvalues (ascending): "
              + " ".join(_fmt(v) for v in eigvals)]
@@ -267,13 +294,13 @@ def cmd_example2(args):
             out / f"bounds_{norm}_norm.csv",
             _header("example2", eff),
             ["i", "max_error", "delta1", "delta2"],
-            rows,
+            list(zip(*rows)),
         )
     _write_csv(
         out / "residual.csv",
         _header("example2", eff),
         ["i", "residual_norm", "f_norm"],
-        [[rec["i"], rec["residual_norm"], rec["f_norm"]] for rec in records],
+        [[rec[k] for rec in records] for k in ("i", "residual_norm", "f_norm")],
     )
     print(f"example2: wrote bound CSVs to {out}")
     return 0
@@ -381,6 +408,7 @@ def _read_data_csv(path):
     if d == 0:
         raise SystemExit(f"error: {path}: no x_* columns in header")
     data = np.array([[float(v) for v in r] for r in rows[1:]])
+    data = data.reshape(len(rows) - 1, len(header))
     X = data[:, :d]
     F = data[:, d : d + m] if m else None
     return X, F, d, m
@@ -416,8 +444,8 @@ def cmd_eval(args):
             f"error: points have dimension {d}, model expects {s.centers.d}"
         )
     eff = {"seed": None, "model": Path(args.model).name, "bounds": bool(args.bounds)}
-    columns = [f"x_{j+1}" for j in range(d)] + [f"s_{j+1}" for j in range(s.kernel.m)]
-    data = [X, s.evaluate_many(X)]
+    names = [f"x_{j+1}" for j in range(d)] + [f"s_{j+1}" for j in range(s.kernel.m)]
+    columns = list(X.T) + list(s.evaluate_many(X).T)
     header = _header("eval", eff)
     bounds_note = ""
     if args.bounds:
@@ -425,9 +453,9 @@ def cmd_eval(args):
         bounds_note = f" bounds path={pe.path}"
         header.append(f"# solver: bounds path={pe.path}")
         factors = pe.bound_factors(X)
-        columns += ["delta1_two", "delta1_inf", "delta1_one"]
-        data += [factors[k] * args.residual_norm for k in ("two", "inf", "one")]
-    _write_csv(args.out_csv, header, columns, np.column_stack(data).tolist())
+        names += ["delta1_two", "delta1_inf", "delta1_one"]
+        columns += [factors[k] * args.residual_norm for k in ("two", "inf", "one")]
+    _write_csv(args.out_csv, header, names, columns)
     print(f"eval: wrote {args.out_csv}{bounds_note}")
     return 0
 

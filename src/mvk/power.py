@@ -124,7 +124,7 @@ class PowerEvaluator:
         if self.split is None:
             # the (m q, m n) component-major cross matrix, row (a, x)
             ((_, C),) = _blocks(self.kernel, None, self.centers, Xq)
-            C = C.reshape(self.kernel.m, len(Xq), -1)
+            C = C.reshape(self.kernel.m, len(Xq), self.kernel.m * self.centers.n)
             D = self.kernel.diag_value(Xq) - self.factors[0][1].inner(C)
         else:
             # k_g(x, x) and the scalar power functions, one group at a time

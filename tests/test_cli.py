@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvk import builtin
 from mvk.backends import EXP_FLOOR
-from mvk.cli import _write_csv, counterexample_report, example2_run, main
+from mvk.cli import CHUNK, _write_csv, counterexample_report, example2_run, main
 from mvk.decomposition import congruence_split
 from mvk.interpolation import LIN_TOL
 
@@ -137,21 +139,75 @@ def test_example2_bounds_hold_through_the_split(seed):
             assert np.all(d1 <= d2), (rec["i"], norm)
 
 
-def test_write_csv_matches_csv_writer(tmp_path):
-    # one format string per table writes what csv.writer wrote with %.17g
-    # floats, including a row with a None (an empty field), nan and -0.0
-    rows = [(0, 0.1, 1e-300, -0.0), (1, None, float("nan"), 2.0),
-            (2, 1 / 3, float("inf"), 123456789.0)]
-    path = tmp_path / "t.csv"
-    _write_csv(path, ["# h"], ["i", "a", "b", "c"], iter(rows))
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        fh.write("# h\n")
+def _csv_writer_reference(path, header, names, rows):
+    """What csv.writer writes: %.17g floats, None as an empty field."""
+    with open(path, "w", newline="") as fh:
+        for line in header:
+            fh.write(line + "\n")
         w = csv.writer(fh)
-        w.writerow(["i", "a", "b", "c"])
+        w.writerow(names)
         for row in rows:
             w.writerow(["" if v is None else f"{v:.17g}" if isinstance(v, float) else v
                         for v in row])
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # the columnar writer writes what csv.writer wrote with %.17g floats,
+    # including a row with a None (an empty field), nan and -0.0
+    rows = [(0, 0.1, 1e-300, -0.0), (1, None, float("nan"), 2.0),
+            (2, 1 / 3, float("inf"), 123456789.0)]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["# h"], ["i", "a", "b", "c"], list(zip(*rows)))
+    ref = tmp_path / "ref.csv"
+    _csv_writer_reference(ref, ["# h"], ["i", "a", "b", "c"], rows)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# 0.0 next to -0.0, nan, infinities, the smallest subnormal and the
+# smallest normal, other subnormals
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                  -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320, 0.1, 1 / 3]
+
+
+@st.composite
+def csv_columns(draw, n):
+    """Int, float and float-with-None columns of length n.
+
+    In a float column a drawn share of the cells comes from a small pool
+    that always holds 0.0 and -0.0 (a share of 1 repeats a few values
+    throughout, 0.4 and 0.6 lie either side of the writer's half-distinct
+    switch); the other cells are distinct, over 600 decades, subnormals
+    and signed zeros among them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["int", "float", "none"]), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        if kind == "int":
+            columns.append(rng.integers(-10**15, 10**15, n))
+            continue
+        pool = [0.0, -0.0] + draw(st.lists(
+            st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS), max_size=6))
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 300, n).astype(float)
+        pick = rng.random(n) < draw(st.sampled_from([0.0, 0.4, 0.6, 1.0]))
+        col[pick] = rng.choice(np.array(pool), size=int(pick.sum()))
+        if kind == "none":
+            col = [None if r < 0.3 else v for r, v in zip(rng.random(n), col.tolist())]
+        columns.append(col)
+    return columns
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+@settings(max_examples=12, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_csv_property_matches_csv_writer(tmp_path, n, data):
+    columns = data.draw(csv_columns(n))
+    names = [f"c{j}" for j in range(len(columns))]
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+    path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+    _write_csv(path, ["# h"], names, columns)
+    _csv_writer_reference(ref, ["# h"], names, rows)
     assert path.read_bytes() == ref.read_bytes()
 
 
@@ -286,6 +342,37 @@ def test_solver_route_in_outputs(tmp_path, capsys):
     out2 = tmp_path / "pred2.csv"
     assert main(["eval", "--model", str(model), "--data", data, "--out-csv", str(out2)]) == 0
     assert out2.read_bytes() == out.read_bytes()
+
+
+def write_header_only(path, names):
+    path.write_text("# no rows\n" + ",".join(names) + "\n")
+    return str(path)
+
+
+def test_fit_on_a_header_only_csv_writes_the_empty_model(tmp_path, capsys):
+    data = write_header_only(tmp_path / "train.csv", ["x_1", "x_2", "f_1", "f_2", "f_3"])
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", data, "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                 "--out-model", str(model)]) == 0
+    assert "path=empty" in capsys.readouterr().out
+    doc = json.loads(model.read_text())
+    assert doc["solver_info"]["path"] == "empty"
+    assert np.size(doc["centers"]) == 0 and np.size(doc["coeffs"]) == 0
+
+
+@pytest.mark.parametrize("bounds", [False, True])
+def test_eval_on_a_header_only_csv_writes_only_the_header(tmp_path, capsys, bounds):
+    model, pred = str(tmp_path / "model.json"), tmp_path / "pred.csv"
+    assert main(["fit", "--data", str(FIXTURE / "coupled_train.csv"),
+                 "--kernel", str(FIXTURE / "coupled_kernel.json"), "--out-model", model]) == 0
+    query = write_header_only(tmp_path / "q.csv", ["x_1", "x_2"])
+    argv = ["eval", "--model", model, "--data", query, "--out-csv", str(pred)]
+    assert main(argv + (["--bounds"] if bounds else [])) == 0
+    names = ["x_1", "x_2", "s_1", "s_2", "s_3"]
+    if bounds:
+        names += ["delta1_two", "delta1_inf", "delta1_one"]
+    assert read_csv(pred) == (names, [])
+    assert pred.read_bytes().endswith(b"\n" + ",".join(names).encode() + b"\r\n")
 
 
 def test_fit_dimension_mismatch(tmp_path):

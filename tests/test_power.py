@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,25 @@ def test_power_empty_centers_is_diagonal_form():
     pe = PowerEvaluator.build(k, PointSet([], d=1))
     x, a = np.array([0.4]), np.array([1.0, -1.0])
     assert pe.power_sq(x, a) == pytest.approx(float(a @ k(x, x) @ a))
+
+
+def fixture_kernel():
+    # three coupled terms whose whitened forms do not commute: no split
+    doc = json.loads((Path(__file__).parent / "data" / "coupled_kernel.json").read_text())
+    return SeparableKernel.from_dict(doc)
+
+
+@pytest.mark.parametrize("kernel", [fixture_kernel, uncoupled_kernel])
+def test_empty_batch_gives_empty_deficiency_and_bounds(kernel):
+    k = kernel()
+    X = PointSet(np.random.default_rng(0).uniform(-1, 1, (6, 2)))
+    pe = PowerEvaluator.build(k, X)
+    assert (pe.split is None) == (kernel is fixture_kernel)
+    Xq = np.zeros((0, 2))
+    assert pe.deficiency_many(Xq).shape == (0, k.m, k.m)
+    factors = pe.bound_factors(Xq)
+    assert sorted(factors) == ["inf", "one", "two"]
+    assert all(v.shape == (0,) for v in factors.values())
 
 
 def test_power_rejects_zero_direction():
