@@ -401,14 +401,26 @@ def cmd_analyze(args):
 
 def _read_data_csv(path):
     with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header = rows[0]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not rows:
+        raise SystemExit(f"error: {path}: no header row")
+    header = rows[0][1]
     d = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("f_"))
     if d == 0:
         raise SystemExit(f"error: {path}: no x_* columns in header")
-    data = np.array([[float(v) for v in r] for r in rows[1:]])
-    data = data.reshape(len(rows) - 1, len(header))
+    values = []
+    for line, r in rows[1:]:
+        if len(r) != len(header):
+            raise SystemExit(
+                f"error: {path}: line {line} has {len(r)} fields, the header has {len(header)}"
+            )
+        try:
+            values.append([float(v) for v in r])
+        except ValueError as err:
+            raise SystemExit(f"error: {path}: line {line}: {err}") from None
+    data = np.array(values).reshape(len(values), len(header))
     X = data[:, :d]
     F = data[:, d : d + m] if m else None
     return X, F, d, m

@@ -5,12 +5,26 @@ through the symmetric eigendecomposition rather than an SVD, so that the
 result is symmetric by spectral reconstruction.  ``_SymFactor`` is the one
 factorization behind interpolation and the power-function; its constructor
 alone picks the route and what happens when Cholesky fails.
+
+The Cholesky factor and its solves call scipy's f2py LAPACK extension,
+``scipy/linalg/_flapack``, loaded from its file at import.  Importing
+``scipy.linalg`` for its three wrappers would cost most of the start-up
+of every ``mvk`` command (it pulls in ``numpy.testing``, ``unittest`` and
+``email`` through scipy's array-API layer), and locating the file with
+``find_spec("scipy")`` does not run ``scipy/__init__``.  Where the file
+is missing or does not load, ``scipy.linalg.lapack`` provides the same
+routines.  ``cho_factor``, ``cho_solve`` and ``solve_triangular`` below
+make the checks and LAPACK calls of scipy's wrappers of those names for
+a lower factor and float64 arrays, so their results are bit-identical.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 # Relative tolerance for accepting a matrix as symmetric.
 SYM_TOL = 1e-12
@@ -22,6 +36,106 @@ RANK_TOL = 1e-10
 PSD_TOL = 1e-10
 # Absolute floor so that rank(0) == 0 deterministically.
 ZERO_FLOOR = 1e-14
+
+
+def _flapack_path():
+    """Path of scipy's ``linalg/_flapack`` extension, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_flapack():
+    """scipy's LAPACK module, loaded without importing ``scipy.linalg``.
+
+    Loading an extension enters it in ``sys.modules``; the entry is put
+    back as it was, so that no part of ``scipy.linalg`` looks imported.  A
+    later import of it finds the extension cached under the same name and
+    shares its routines.
+    """
+    path = _flapack_path()
+    if path is not None:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        previous = sys.modules.get(spec.name)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+        finally:
+            if previous is None:
+                sys.modules.pop(spec.name, None)
+            else:
+                sys.modules[spec.name] = previous
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+# Loaded here, not on first use, so that LAPACK and its BLAS threads start
+# with the import.
+_lapack = _load_flapack()
+
+
+def cho_factor(a, overwrite_a=False):
+    """Lower Cholesky factor of ``a`` as ``scipy.linalg.cho_factor(a, lower=True)[0]``.
+
+    The strict upper triangle of the result is what ``a`` held there.
+    Raises ``numpy.linalg.LinAlgError``, the class scipy raises, when
+    ``a`` is not positive definite.
+    """
+    a1 = np.asarray_chkfinite(a)
+    if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a1.shape}")
+    if a1.size == 0:
+        return np.empty_like(a1, dtype=np.float64)
+    c, info = _lapack.dpotrf(a1, lower=1, clean=0, overwrite_a=overwrite_a)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return c
+
+
+def cho_solve(c, b):
+    """A^{-1} b from the lower factor ``c`` of A, as ``scipy.linalg.cho_solve``."""
+    b1, c = np.asarray_chkfinite(b), np.asarray_chkfinite(c)
+    if c.shape[1] != b1.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
+    if b1.size == 0:
+        return np.empty_like(b1, dtype=np.float64)
+    x, info = _lapack.dpotrs(c, b1, lower=1, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return x
+
+
+def solve_triangular(a, b, overwrite_b=False):
+    """L^{-1} b for the Fortran-ordered lower triangle L of ``a``.
+
+    As ``scipy.linalg.solve_triangular(a, b, lower=True)``, which passes a
+    Fortran-ordered ``a`` to LAPACK unchanged.
+    """
+    a1, b1 = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
+    if not a1.flags.f_contiguous:
+        raise ValueError("the triangular factor must be Fortran-ordered")
+    if a1.shape[0] != b1.shape[0]:
+        raise ValueError(f"shapes of a {a1.shape} and b {b1.shape} are incompatible")
+    if b1.size == 0:
+        return np.empty_like(b1, dtype=np.float64)
+    x, info = _lapack.dtrtrs(a1, b1, lower=1, trans=0, unitdiag=0, overwrite_b=overwrite_b)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 class EigenSolverError(RuntimeError):
@@ -125,10 +239,9 @@ class _SymFactor:
         if strictly_pd:
             diag = A.diagonal().copy()
             try:
-                self.path, self._M = "cholesky", cho_factor(
-                    A.T, lower=True, overwrite_a=True)[0]
+                self.path, self._M = "cholesky", cho_factor(A.T, overwrite_a=True)
                 return
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 np.copyto(A, A.T, where=~np.tri(len(A), dtype=bool))
                 np.fill_diagonal(A, diag)
                 if on_failure == "lu":
@@ -164,7 +277,7 @@ class _SymFactor:
     def solve(self, B):
         """A^{-1} B, or A^+ B on the pseudo-inverse route."""
         if self.path == "cholesky":
-            return cho_solve((self._M, True), B)
+            return cho_solve(self._M, B)
         if self.path == "lu_fallback":
             return np.linalg.solve(self._M, B)
         return self._M @ B
@@ -184,7 +297,7 @@ class _SymFactor:
         if self.path == "cholesky":
             # Cf^T is Fortran-ordered, so LAPACK solves it in place; the
             # result's transpose is C-ordered again.
-            W = solve_triangular(self._M, Cf.T, lower=True, overwrite_b=True).T
+            W = solve_triangular(self._M, Cf.T, overwrite_b=True).T
             W = W.reshape(C.shape)
             return np.einsum("aqn,bqn->qab", W, W)
         # One (k q, N) x (N, N) GEMM; a 3-D C would make numpy issue one

@@ -403,6 +403,37 @@ def test_fit_rejects_non_finite_data(tmp_path, column):
     assert not model.exists()
 
 
+MALFORMED = {
+    "empty": ("", "no header row"),
+    "comments only": ("# no data\n", "no header row"),
+    "short row": ("x_1,x_2\n0.1,0.2\n0.3\n", "line 3 has 1 fields, the header has 2"),
+    "long row": ("x_1,x_2\n0.1,0.2,0.3\n", "line 2 has 3 fields, the header has 2"),
+    "not a number": ("x_1,x_2\n# skipped\n0.1,abc\n", "line 3: could not convert"),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_data_csv_is_an_error_line(tmp_path, command, case):
+    text, message = MALFORMED[case]
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    if command == "fit":
+        argv = ["fit", "--data", str(data), "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                "--out-model", str(model)]
+    else:
+        assert main(["fit", "--data", str(FIXTURE / "coupled_train.csv"),
+                     "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                     "--out-model", str(model)]) == 0
+        argv = ["eval", "--model", str(model), "--data", str(data), "--out-csv", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value.code).startswith(f"error: {data}: ")
+    assert message in str(exc.value.code)
+    assert not out.exists() and (command == "eval" or not model.exists())
+
+
 @pytest.mark.parametrize("norm", ["-1", "nan", "inf"])
 def test_eval_rejects_bad_residual_norm(tmp_path, norm):
     kf = write_kernel(tmp_path / "k.json", well_conditioned_kernel())

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from mvk import linalg
 from mvk.linalg import (
     EigenSolverError,
+    _SymFactor,
     check_symmetric,
     is_psd,
     pinv_sym,
@@ -94,3 +102,149 @@ def test_is_psd():
     # tiny negative eigenvalues within tolerance still count as PSD
     ok, _ = is_psd(np.diag([1.0, -1e-13]))
     assert ok
+
+
+# --- the LAPACK wrappers against scipy.linalg's, bit for bit
+
+
+def random_spd(rng, n):
+    return random_symmetric(rng, n) + n * np.eye(n)
+
+
+def scipy_factor(A):
+    return scipy.linalg.cho_factor(A, lower=True)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_factor_and_solves_match_scipy(n):
+    rng = np.random.default_rng(n)
+    A = random_spd(rng, n)
+    for a in (A, A.T.copy(order="F")):
+        assert np.array_equal(linalg.cho_factor(a), scipy_factor(a))
+    c = scipy_factor(A.T)
+    assert c.flags.f_contiguous
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), rng.standard_normal((3, n)).T):
+        assert np.array_equal(linalg.cho_solve(c, b), scipy.linalg.cho_solve((c, True), b))
+        ref = scipy.linalg.solve_triangular(c, b, lower=True)
+        assert np.array_equal(linalg.solve_triangular(c, b), ref)
+        assert np.array_equal(linalg.solve_triangular(c, b.copy(order="F"), overwrite_b=True), ref)
+
+
+def test_factor_in_place_matches_scipy():
+    A = random_spd(np.random.default_rng(5), 9)
+    ref = scipy.linalg.cho_factor(A.copy().T, lower=True, overwrite_a=True)[0]
+    B = A.copy()
+    c = linalg.cho_factor(B.T, overwrite_a=True)
+    assert np.shares_memory(c, B) and np.array_equal(c, ref)
+
+
+def test_empty_arrays_take_scipys_quick_return():
+    # Recent scipy returns an empty float64 array of the input's shape
+    # without calling LAPACK; dpotrs's f2py wrapper rejects an empty
+    # right-hand side.
+    empty = np.zeros((0, 0))
+    c = linalg.cho_factor(empty)
+    assert c.shape == (0, 0) and c.dtype == np.float64
+    c4 = scipy_factor(random_spd(np.random.default_rng(6), 4).T)
+    for c, b in ((empty, np.zeros((0, 3))), (empty, np.zeros(0)), (c4, np.zeros((4, 0)))):
+        for x in (linalg.cho_solve(c, b), linalg.solve_triangular(c, b)):
+            assert x.shape == b.shape and x.dtype == np.float64
+    assert _SymFactor(np.zeros((0, 0)), True, "raise").solve(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_not_positive_definite_raises_scipys_error():
+    A = np.diag([2.0, 1.0, -1.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        linalg.cho_factor(A)
+    with pytest.raises(scipy.linalg.LinAlgError) as theirs:
+        scipy.linalg.cho_factor(A, lower=True)
+    assert type(ours.value) is type(theirs.value) and str(ours.value) == str(theirs.value)
+
+
+def test_failed_cholesky_restores_the_matrix():
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((6, 6))
+    A = symmetrize((V * [5.0, 4.0, 3.0, 2.0, 1.0, -1.0]) @ V.T)
+    original = A.copy()
+    factor = _SymFactor(A, True, "lu")
+    assert factor.path == "lu_fallback" and factor._M is A
+    assert np.array_equal(A, original)
+
+
+class _NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK {name} called")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises_before_lapack(monkeypatch, bad):
+    A = random_spd(np.random.default_rng(8), 3)
+    c = scipy_factor(A.T)
+    B = np.ones((3, 2))
+    B[1, 1] = bad
+    Abad = A.copy()
+    Abad[0, 2] = bad
+    monkeypatch.setattr(linalg, "_lapack", _NoLapack())
+    cases = [
+        (lambda: linalg.cho_factor(Abad), lambda: scipy.linalg.cho_factor(Abad, lower=True)),
+        (lambda: linalg.cho_solve(c, B), lambda: scipy.linalg.cho_solve((c, True), B)),
+        (lambda: linalg.solve_triangular(c, B),
+         lambda: scipy.linalg.solve_triangular(c, B, lower=True)),
+    ]
+    for ours, theirs in cases:
+        with pytest.raises(ValueError) as mine:
+            ours()
+        with pytest.raises(ValueError) as ref:
+            theirs()
+        assert str(mine.value) == str(ref.value)
+
+
+def test_inner_on_the_triangular_route_matches_scipy():
+    rng = np.random.default_rng(9)
+    n, k, q = 12, 3, 5
+    A = random_spd(rng, n)
+    C = rng.standard_normal((k, q, n))
+    factor = _SymFactor(A.copy(), True, "raise")
+    assert factor.path == "cholesky"
+    c = scipy_factor(A.T)
+    W = scipy.linalg.solve_triangular(c, C.reshape(-1, n).T, lower=True).T.reshape(C.shape)
+    assert np.array_equal(factor.inner(C.copy()), np.einsum("aqn,bqn->qab", W, W))
+    f = rng.standard_normal(n)
+    assert np.array_equal(factor.solve(f), scipy.linalg.cho_solve((c, True), f))
+
+
+def test_lapack_is_loaded_from_scipys_extension_file():
+    path = linalg._flapack_path()
+    assert path is not None and Path(path).name.startswith("_flapack")
+    assert linalg._lapack.__file__ == path
+    # loading again shares the routines and leaves scipy's module entry as it was
+    before = sys.modules.get("scipy.linalg._flapack")
+    assert before is not None
+    assert linalg._load_flapack().dpotrf is linalg._lapack.dpotrf
+    assert sys.modules.get("scipy.linalg._flapack") is before
+
+
+def test_fallback_module_gives_the_same_results(monkeypatch):
+    monkeypatch.setattr(linalg, "_flapack_path", lambda: None)
+    fallback = linalg._load_flapack()
+    assert fallback is scipy.linalg.lapack
+    rng = np.random.default_rng(10)
+    A = random_spd(rng, 8)
+    b = rng.standard_normal((8, 2))
+    direct = (linalg.cho_factor(A.T), linalg.cho_solve(scipy_factor(A.T), b),
+              linalg.solve_triangular(scipy_factor(A.T), b))
+    monkeypatch.setattr(linalg, "_lapack", fallback)
+    via_fallback = (linalg.cho_factor(A.T), linalg.cho_solve(scipy_factor(A.T), b),
+                    linalg.solve_triangular(scipy_factor(A.T), b))
+    assert all(map(np.array_equal, direct, via_fallback))
+
+
+def test_importing_the_cli_does_not_import_scipy_linalg():
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, mvk.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy.linalg' or m.startswith('scipy.linalg.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

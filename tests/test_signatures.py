@@ -88,8 +88,10 @@ def test_benchmark_hooks_resolve():
 
 
 # Factorizations and solves that only linalg.py may call, so that every
-# route and every policy for a failed Cholesky stays in ``_SymFactor``.
-SOLVER_NAMES = {"cho_factor", "cho_solve", "solve_triangular", "lu_factor"}
+# route and every policy for a failed Cholesky stays in ``_SymFactor``; the
+# LAPACK routines behind them and their module are named too.
+SOLVER_NAMES = {"cho_factor", "cho_solve", "solve_triangular", "lu_factor",
+                "dpotrf", "dpotrs", "dtrtrs", "_flapack"}
 
 
 def _solver_uses(path):
