@@ -408,22 +408,22 @@ def _read_data_csv(path):
     header = rows[0][1]
     d = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("f_"))
-    if d == 0:
-        raise SystemExit(f"error: {path}: no x_* columns in header")
-    values = []
+    names = [f"x_{k}" for k in range(1, d + 1)] + [f"f_{k}" for k in range(1, m + 1)]
+    if d == 0 or sorted(header) != sorted(names):
+        raise SystemExit(f"error: {path}: header {','.join(header)} does not name "
+                         "x_1..x_d (d >= 1) and f_1..f_m once each, in any order")
+    values, cols = [], [header.index(h) for h in names]
     for line, r in rows[1:]:
         if len(r) != len(header):
             raise SystemExit(
                 f"error: {path}: line {line} has {len(r)} fields, the header has {len(header)}"
             )
         try:
-            values.append([float(v) for v in r])
+            values.append([float(r[j]) for j in cols])
         except ValueError as err:
             raise SystemExit(f"error: {path}: line {line}: {err}") from None
     data = np.array(values).reshape(len(values), len(header))
-    X = data[:, :d]
-    F = data[:, d : d + m] if m else None
-    return X, F, d, m
+    return data[:, :d], data[:, d:] if m else None, d, m
 
 
 def cmd_fit(args):

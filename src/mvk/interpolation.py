@@ -1,4 +1,4 @@
-"""Fitting and evaluating matrix-valued kernel interpolants.
+"""Fitting and evaluating matrix-valued kernel interpolants; native norms.
 
 The interpolant of data (X, f(X)) is s(x) = sum_i k(x, x_i) alpha_i where
 the stacked coefficient vector solves the block Gramian system
@@ -11,12 +11,10 @@ per distinct kernel sum_i lam_ig k_i, without the block Gramian; the
 paper's uncoupled kernels split this way with one block per term.  Any
 other kernel gives the block Gramian as its one block, assembled in place
 by ``SeparableKernel._blocks`` with the unknowns ordered by component.
-``_blocks`` builds the blocks for ``fit`` and ``PowerEvaluator`` alike,
-and data enter and leave them through one routine, ``_block_solve``:
-F T^T in, each block's right-hand sides stacked in its order, B T out, so
-``coeffs`` keeps the point-major layout of ``gramian``.  ``fit`` and
-``PowerEvaluator.solve`` share it, so on the same factors they give the
-same coefficients bit for bit.
+``_blocks`` builds the blocks for ``fit``, ``PowerEvaluator`` and both
+native norms (one quadratic form, ``_quad_form``).  Data enter and leave
+them through ``_block_solve``, F T^T in and B T out, so ``coeffs`` stays
+point-major; ``fit`` and ``PowerEvaluator.solve`` agree bit for bit.
 """
 
 import json
@@ -73,16 +71,10 @@ def fit(kernel, X, values, lu_fallback=False):
     the achievable interpolation error).  Kernels that are merely positive
     definite take the minimal-norm pseudo-inverse solution.
 
-    A strictly-pd kernel whose coefficients split by congruence
-    (:func:`~mvk.decomposition.congruence_split`, T Q_i T^T = diag(lam_i))
-    is solved in T coordinates: the data become F T^T, each group g of
-    directions is one scalar system K_g B_g = (F T^T)_g with
-    K_g = sum_i lam_ig k_i(X, X), and alpha = B T.  The residual of the
-    full system is R T^-T, R the block residuals.  Any other kernel is one
-    block, the block Gramian k(X, X) in component-major order: the data
-    enter as the columns of F stacked, and the solution is read back the
-    same way.  Both mappings are ``_block_solve``'s.  Non-finite
-    ``values`` raise ValueError.
+    The blocks are ``_blocks``' and the mapping ``_block_solve``'s: with a
+    split, group g is one scalar system K_g B_g = (F T^T)_g and alpha =
+    B T; the residual of the full system is R T^-T, R the block residuals.
+    Non-finite ``values`` raise ValueError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if X.n == 0:
@@ -223,15 +215,36 @@ class NativeSpanFunction:
         return self.kernel.apply(Xq, self.sites, self.weights)
 
 
+def _quad_form(kernel, Z, Gamma, lead=None):
+    """||g||^2 for g = sum_j k(., z_j) gamma_j, row j of Gamma (N, m), and a scale.
+
+    Over ``_blocks(kernel, _split(kernel), Z)``; Z may repeat points.  A
+    split takes Gamma to T coordinates, B = Gamma T^-1, and the form is
+    sum_g tr(B_J^T K_g B_J) as Q_i = T^-1 diag(lam_i) T^-T; without one,
+    Gamma's columns are stacked as in ``_block_solve``.  The scale is the
+    form of the first ``lead`` rows alone, or with ``lead`` None |B|^T |A| |B|.
+    """
+    if Z.n == 0:
+        return 0.0, 0.0
+    split = _split(kernel)
+    B = Gamma if split is None else Gamma @ split.T_inv
+    val = scale = 0.0
+    for J, A in _blocks(kernel, split, Z):
+        b = B[:, J].T.reshape(-1, len(A)).T
+        val += float(np.vdot(b, A @ b))
+        if lead is None:
+            b = np.abs(b)
+            scale += float(np.vdot(b, np.abs(A) @ b))
+        else:  # rows and columns of the first ``lead`` points, in every component
+            keep = np.arange(len(A)) % Z.n < lead
+            scale += float(np.vdot(b[keep], A[np.ix_(keep, keep)] @ b[keep]))
+    return val, scale
+
+
 def native_norm_sq(f: NativeSpanFunction):
-    """Squared native-space norm, the Gram quadratic form of the weights."""
-    if f.sites.n == 0:
-        return 0.0
-    beta = f.weights.reshape(-1)
-    G = f.kernel.gramian(f.sites)
-    val = float(beta @ G @ beta)
-    scale = max(1.0, float(np.abs(beta) @ np.abs(G) @ np.abs(beta)))
-    if val < -PSD_TOL * scale:
+    """Squared native norm, ``_quad_form`` of the weights; raises below -PSD_TOL |form|."""
+    val, scale = _quad_form(f.kernel, f.sites, np.reshape(f.weights, (f.sites.n, f.kernel.m)))
+    if val < -PSD_TOL * max(1.0, scale):
         raise RuntimeError(f"native norm came out negative ({val:.3e})")
     return max(val, 0.0)
 
@@ -239,28 +252,17 @@ def native_norm_sq(f: NativeSpanFunction):
 def residual_norm_sq(f: NativeSpanFunction, s: Interpolant):
     """Squared native norm of f - s for s the interpolant of f on X.
 
-    Because the interpolant is the orthogonal projection onto the span of
-    the centers, this equals ||f||^2 - ||s||^2; it is evaluated directly as
-    the Gram quadratic form of f - s on the union of sites and centers,
-    which stays nonnegative under roundoff.  Tiny negative values are
-    clamped; larger ones raise.
+    It equals ||f||^2 - ||s||^2 but is the ``_quad_form`` of f - s on sites
+    and centers, which stays nonnegative under roundoff.  It is clamped at
+    0 and raises below -RESIDUAL_TOL max(1, ||f||^2), ||f||^2 read from the
+    sites' leading sub-block of the same blocks.
     """
     if f.kernel.to_dict() != s.kernel.to_dict():
         raise KernelMismatchError("function and interpolant use different kernels")
-    m = f.kernel.m
-    pts = np.vstack([f.sites.points, s.centers.points]) if s.centers.n else f.sites.points
-    if pts.shape[0] == 0:
-        return 0.0
-    gamma = np.concatenate(
-        [f.weights.reshape(-1), -s.coeff_blocks().reshape(-1) if s.centers.n else []]
-    )
-    Z = PointSet(pts)
-    G = f.kernel.gramian(Z, check_distinct=False)
-    val = float(gamma @ G @ gamma)
-    # ||f||^2 from the sites' leading block of the same Gramian
-    k = f.weights.size
-    scale = max(1.0, float(gamma[:k] @ G[:k, :k] @ gamma[:k]))
-    if val < -RESIDUAL_TOL * scale:
+    Z = PointSet(np.vstack([f.sites.points, s.centers.points]))
+    Gamma = np.vstack([np.reshape(f.weights, (f.sites.n, f.kernel.m)), -s.coeff_blocks()])
+    val, scale = _quad_form(f.kernel, Z, Gamma, lead=f.sites.n)
+    if val < -RESIDUAL_TOL * max(1.0, scale):
         raise RuntimeError(f"residual norm squared is negative ({val:.3e})")
     return max(val, 0.0)
 

@@ -9,13 +9,13 @@ with scalar kernels ``k_i`` and symmetric m x m coefficient matrices
 ``sum_i k_i(X, Y) (x) Q_i``, and every evaluation here works from the
 per-term scalar matrices ``k_i(X, Y)``: every block matrix comes from one
 assembler (``SeparableKernel._blocks``), which fills the unknowns in
-component-major order, block (a, b) = sum_i Q_i[a, b] k_i(X, Y), in place;
-``gramian`` and ``cross_many`` permute its output to the point-major
-Kronecker layout.  Interpolants are evaluated term by term without forming
-the block matrix at all.  All of them, and the term-by-term fit, take the
-per-term matrices from one generator (``SeparableKernel._term_matrices``),
-which computes one squared-distance matrix per point pair and shares it
-among the Gaussian terms.
+component-major order, block (a, b) = sum_i Q_i[a, b] k_i(X, Y), in place.
+``gramian`` and ``cross_many`` permute it to the point-major Kronecker
+layout; no solver or norm uses them (they serve ``counterexample``, tests
+and benchmark hooks).  Interpolants are evaluated term by term without the
+block matrix.  All of them, and the term-by-term fit, take the per-term
+matrices from one generator (``_term_matrices``), which computes one
+squared-distance matrix per point pair for all Gaussian terms.
 """
 
 from dataclasses import dataclass, field
@@ -280,14 +280,12 @@ class SeparableKernel:
                 G[b, :, a] = blk
         return G
 
-    def gramian(self, X: PointSet, check_distinct=True):
-        """Block Gramian k(X, X) = sum_i kron(K_i, Q_i), shape (m n, m n).
+    def gramian(self, X: PointSet):
+        """Point-major block Gramian k(X, X) = sum_i kron(K_i, Q_i) of distinct X.
 
-        Point-major, as the Kronecker products order it: the assembler's
-        component-major Gramian with its indices permuted.
+        The assembler's Gramian permuted, (m n, m n); kept for ``counterexample`` and tests.
         """
-        if check_distinct:
-            X.assert_distinct()
+        X.assert_distinct()
         nm = X.n * self.m
         return self._blocks(X.points, None).transpose(1, 0, 3, 2).reshape(nm, nm)
 
@@ -295,7 +293,7 @@ class SeparableKernel:
         """Cross blocks for a batch of query points, shape (q, m, m n).
 
         Point-major like ``gramian``: row a of block x is sum_i
-        kron(k_i(x, X), Q_i[a]).
+        kron(k_i(x, X), Q_i[a]).  Kept for tests and benchmark hooks.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
         C = self._blocks(Xq, X.points).transpose(1, 0, 3, 2)

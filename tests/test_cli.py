@@ -139,6 +139,20 @@ def test_example2_bounds_hold_through_the_split(seed):
             assert np.all(d1 <= d2), (rec["i"], norm)
 
 
+def test_example2_with_the_sites_among_the_centers():
+    # --include-sites puts the 5 sites among the last 5 centers, so the
+    # union of sites and centers in ||f - s|| repeats points
+    recs = example2_run(include_sites=True)
+    for rec in recs:
+        assert rec["residual_norm"] <= rec["f_norm"]
+        for norm in ("two", "inf", "one"):
+            err, d1, d2 = (rec[k][norm] for k in ("errors", "delta1", "delta2"))
+            assert np.all(err <= d1), (rec["i"], norm)
+            assert np.all(d1 <= d2), (rec["i"], norm)
+    # with all sites among the centers f - s is a small fraction of f
+    assert recs[-1]["residual_norm"] <= 1e-3 * recs[-1]["f_norm"]
+
+
 def _csv_writer_reference(path, header, names, rows):
     """What csv.writer writes: %.17g floats, None as an empty field."""
     with open(path, "w", newline="") as fh:
@@ -431,6 +445,50 @@ def test_malformed_data_csv_is_an_error_line(tmp_path, command, case):
         main(argv)
     assert str(exc.value.code).startswith(f"error: {data}: ")
     assert message in str(exc.value.code)
+    assert not out.exists() and (command == "eval" or not model.exists())
+
+
+def test_data_columns_are_taken_by_name(tmp_path, capsys):
+    # the same data with its columns in another order give the same model
+    X = np.linspace(-1, 1, 6)[:, None] * [1.0, -0.5]
+    F = np.stack([np.sin(X[:, 0]), X[:, 1] ** 2, X[:, 0] * X[:, 1]], axis=1)
+    names = ["x_1", "x_2", "f_1", "f_2", "f_3"]
+    models = []
+    for order in ([0, 1, 2, 3, 4], [2, 3, 4, 0, 1], [4, 1, 3, 0, 2]):
+        data = tmp_path / f"train{len(models)}.csv"
+        rows = np.hstack([X, F])[:, order]
+        data.write_text(",".join(names[j] for j in order) + "\n"
+                        + "".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+        model = tmp_path / f"model{len(models)}.json"
+        assert main(["fit", "--data", str(data), "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                     "--out-model", str(model)]) == 0
+        models.append(model.read_bytes())
+    assert models[1] == models[0] and models[2] == models[0]
+    capsys.readouterr()
+
+
+# a duplicate name, a gap in the numbering of x or f, another name, no x
+BAD_HEADERS = ["x_1,x_1,f_1,f_2,f_3", "x_1,x_3,f_1,f_2,f_3", "x_1,x_2,f_1,f_2,f_4",
+               "x_1,y,f_1,f_2,f_3", "f_1,f_2,f_3,f_4,f_5"]
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+@pytest.mark.parametrize("header", BAD_HEADERS)
+def test_bad_data_header_is_an_error_line(tmp_path, command, header):
+    data = tmp_path / "data.csv"
+    data.write_text(header + "\n" + ",".join(["0.5"] * 5) + "\n")
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    if command == "fit":
+        argv = ["fit", "--data", str(data), "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                "--out-model", str(model)]
+    else:
+        assert main(["fit", "--data", str(FIXTURE / "coupled_train.csv"),
+                     "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                     "--out-model", str(model)]) == 0
+        argv = ["eval", "--model", str(model), "--data", str(data), "--out-csv", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value.code).startswith(f"error: {data}: header {header} does not name x_1")
     assert not out.exists() and (command == "eval" or not model.exists())
 
 

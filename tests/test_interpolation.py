@@ -216,29 +216,54 @@ def test_residual_norm_pythagoras():
 
 
 def test_residual_norm_builds_one_gramian(monkeypatch):
-    # the scale ||f||^2 comes from the union Gramian, not a second build
-    k = gaussian_kernel()
+    # one assembly pass per call, split or not: the scale ||f||^2 comes from
+    # the sites' leading sub-block of the same blocks, not a second build
     sites = PointSet(np.array([[0.0], [0.6], [-0.4]]))
-    rng = np.random.default_rng(5)
-    f = NativeSpanFunction(k, sites, rng.standard_normal((3, 2)))
     X = PointSet(np.array([[-0.5], [0.5]]))
-    s = fit(k, X, np.stack([f(x) for x in X.points]))
-    expected = residual_norm_sq(f, s)
-
+    W = np.random.default_rng(5).standard_normal((3, 2))
+    blocks, terms = interpolation._blocks, SeparableKernel._term_matrices
     calls = []
-    gramian = SeparableKernel.gramian
 
-    def counting_gramian(self, *args, **kwargs):
-        calls.append(1)
-        return gramian(self, *args, **kwargs)
+    def counting_blocks(*args):
+        calls.append("_blocks")
+        return blocks(*args)
+
+    def counting_terms(self, *args):
+        calls.append("_term_matrices")
+        return terms(self, *args)
 
     def no_native_norm(_):
         raise AssertionError("native_norm_sq must not be called")
 
-    monkeypatch.setattr(SeparableKernel, "gramian", counting_gramian)
-    monkeypatch.setattr(interpolation, "native_norm_sq", no_native_norm)
-    assert residual_norm_sq(f, s) == expected
-    assert len(calls) == 1
+    for k in (gaussian_kernel(), unsplit_kernel()):
+        f = NativeSpanFunction(k, sites, W)
+        s = fit(k, X, np.stack([f(x) for x in X.points]))
+        expected = residual_norm_sq(f, s)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(interpolation, "_blocks", counting_blocks)
+            mp.setattr(SeparableKernel, "_term_matrices", counting_terms)
+            mp.setattr(interpolation, "native_norm_sq", no_native_norm)
+            assert residual_norm_sq(f, s) == expected
+        assert calls == ["_blocks", "_term_matrices"]
+
+
+def test_norm_scales():
+    # residual_norm_sq's scale is ||f||^2 from the sites' leading sub-block;
+    # native_norm_sq's is the absolute form, which on the unsplit route is
+    # |beta|^T |G| |beta| of the point-major Gramian
+    sites = PointSet(np.array([[0.0], [0.6], [-0.4]]))
+    X = PointSet(np.array([[-0.5], [0.5]]))
+    W = np.random.default_rng(7).standard_normal((3, 2))
+    Z = PointSet(np.vstack([sites.points, X.points]))
+    for k in (gaussian_kernel(), unsplit_kernel()):
+        f = NativeSpanFunction(k, sites, W)
+        s = fit(k, X, f.evaluate_many(X.points))
+        _, scale = interpolation._quad_form(k, Z, np.vstack([W, -s.coeff_blocks()]), lead=3)
+        assert scale == pytest.approx(native_norm_sq(f), rel=1e-12)
+    k, beta = unsplit_kernel(), np.abs(W.reshape(-1))
+    _, scale = interpolation._quad_form(k, sites, W)
+    assert scale == pytest.approx(beta @ np.abs(k.gramian(sites)) @ beta, rel=1e-12)
 
 
 def test_residual_norm_zero_when_centers_contain_sites():
@@ -304,16 +329,17 @@ def uncoupled_kernel(shapes=(1.0, 2.0)):
     )
 
 
+def refuse_block_assembly(self, *args, **kwargs):
+    raise AssertionError("the split route formed the block Gramian")
+
+
 def test_split_fit_never_forms_the_gramian(monkeypatch):
     # every block system comes from the one assembler, SeparableKernel._blocks
     X = PointSet(np.linspace(-1, 1, 8)[:, None])
     F = np.random.default_rng(5).standard_normal((8, 2))
     assemble = SeparableKernel._blocks
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the split route formed the block Gramian")
-
-    monkeypatch.setattr(SeparableKernel, "_blocks", refuse)
+    monkeypatch.setattr(SeparableKernel, "_blocks", refuse_block_assembly)
     s = fit(uncoupled_kernel(), X, F)
     assert s.solver_info["blocks"] == 2
     assert np.allclose(s.evaluate_many(X.points), F, atol=1e-10)
@@ -331,6 +357,21 @@ def test_split_fit_never_forms_the_gramian(monkeypatch):
     s = fit(unsplit_kernel(), X, F)
     assert len(calls) == 1
     assert s.solver_info["blocks"] == 1
+
+
+def test_split_norms_never_form_the_gramian(monkeypatch):
+    # through a split both native norms read the scalar blocks only
+    sites = PointSet(np.array([[0.0], [0.6], [-0.4]]))
+    X = PointSet(np.linspace(-1, 1, 5)[:, None])
+    W = np.random.default_rng(6).standard_normal((3, 2))
+    for k in (gaussian_kernel(), uncoupled_kernel()):
+        f = NativeSpanFunction(k, sites, W)
+        s = fit(k, X, f.evaluate_many(X.points))
+        expected = native_norm_sq(f), residual_norm_sq(f, s)
+        with monkeypatch.context() as mp:
+            mp.setattr(SeparableKernel, "_blocks", refuse_block_assembly)
+            assert (native_norm_sq(f), residual_norm_sq(f, s)) == expected
+        assert expected[0] > expected[1] > 0.0
 
 
 def test_single_term_pd_coefficient_takes_the_split_route():

@@ -181,7 +181,6 @@ def test_gramian_checks_duplicates():
     k = make_kernel()
     with pytest.raises(DuplicateCentersError):
         k.gramian(PointSet([[0.0], [0.0]]))
-    k.gramian(PointSet([[0.0], [0.0]]), check_distinct=False)
 
 
 def test_cross_matches_gramian_rows():
