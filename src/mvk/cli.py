@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, builtin
 from .interpolation import (
     ConditioningError,
-    Interpolant,
     NativeSpanFunction,
     fit,
     load_model,
@@ -38,17 +37,12 @@ from .decomposition import NotCommutingError, analyze, commuting_family_check, r
 from .kernels import PointSet, SeparableKernel
 from .linalg import PSD_TOL, RANK_TOL, is_psd, sym_eig, symmetrize
 from .interpolation import LIN_TOL
-from .power import PowerEvaluator
+from .power import PowerEvaluator, bound_factors
 
 # example2 target: a native-space function on this many random sites.
 EXAMPLE2_SITES = 5
 # example2 test points: a regular grid with this many values per axis.
 EXAMPLE2_TEST_GRID = 20
-# Pseudo-inverse cutoff of example2's scalar blocks, deliberately coarser
-# than RANK_TOL: the pseudo-inverse noise scales like eps / cutoff, and with
-# a 1e-10 cutoff it swamps the deficiency matrix once a block's Gramian is
-# numerically rank-deficient at large center counts.
-EXAMPLE2_RANK_TOL = 1e-8
 # Rows per chunk of a CSV table: large enough that the per-chunk numpy calls
 # cost little, small enough that a chunk's field strings stay a few MB.
 CHUNK = 4096
@@ -64,13 +58,12 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _header(command, cfg):
-    rank_tol = EXAMPLE2_RANK_TOL if command == "example2" else RANK_TOL
     return [
         f"# mvk {__version__}",
         f"# command: {command}",
         f"# config-hash: {_config_hash(cfg)}",
         f"# seed: {cfg.get('seed')}",
-        f"# tolerances: rank_tol={rank_tol:g} psd_tol={PSD_TOL:g} lin_tol={LIN_TOL:g}",
+        f"# tolerances: rank_tol={RANK_TOL:g} psd_tol={PSD_TOL:g} lin_tol={LIN_TOL:g}",
     ]
 
 
@@ -219,9 +212,13 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
 
     Returns per-prefix records and the per-point arrays needed by the
     validity checks (errors and bounds at every test point).  The kernel
-    splits by congruence into three scalar kernels, and each prefix takes
-    the pseudo-inverse of each of their Gramians at EXAMPLE2_RANK_TOL;
-    ``solver_info`` records the path and the number of blocks.
+    splits by congruence into three scalar kernels, and each of their
+    Gramians on all the centers is factored once, in center order, by a
+    Cholesky that skips the centers whose pivots vanish
+    (``PowerEvaluator.nested``).  Each prefix reads its interpolant and
+    deficiency matrices from the leading blocks of those factors;
+    ``solver_info`` records the path, the number of blocks and the centers
+    each block skipped among the prefix.
     """
     kernel = builtin.example2_kernel()
     lo, hi = builtin.EXAMPLE2_DOMAIN
@@ -231,7 +228,7 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
     centers_pts = rng.uniform(lo, hi, size=(n_centers, 2))
     if include_sites:
         centers_pts[-EXAMPLE2_SITES:] = sites.points
-    centers = PointSet(centers_pts)
+    centers = PointSet(centers_pts, d=2)
     f = NativeSpanFunction(kernel, sites, weights)
 
     g = np.linspace(lo, hi, EXAMPLE2_TEST_GRID)
@@ -239,13 +236,9 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
     fT = f.evaluate_many(T)
     f_norm = float(np.sqrt(native_norm_sq(f)))
 
+    pe = PowerEvaluator.nested(kernel, centers)
     records = []
-    for i in range(1, n_centers + 1):
-        Xi = centers.prefix(i)
-        pe = PowerEvaluator.build(kernel, Xi, rank_tol=EXAMPLE2_RANK_TOL)
-        alpha = pe.solve(f.evaluate_many(Xi.points).reshape(-1))
-        s = Interpolant(kernel, Xi, alpha,
-                        {"path": pe.path, "blocks": len(pe.factors)})
+    for i, (s, _, D) in enumerate(pe.prefixes(f.evaluate_many(centers.points), T), 1):
         r_norm = float(np.sqrt(residual_norm_sq(f, s)))
         r_norm = min(r_norm, f_norm)
 
@@ -254,7 +247,7 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
         errinf = np.max(np.abs(E), axis=1)
         err1 = np.sum(np.abs(E), axis=1)
 
-        factors = pe.bound_factors(T)
+        factors = bound_factors(D)
         errs = {"two": err2, "inf": errinf, "one": err1}
         records.append(
             {
@@ -280,6 +273,10 @@ def cmd_example2(args):
 
     records = example2_run(seed=seed, n_centers=n_centers,
                            include_sites=include_sites)
+    info = records[-1]["solver_info"] if records else {"path": "empty", "skipped": []}
+    header = _header("example2", eff) + [
+        f"# solver: nested path={info['path']} "
+        f"skipped={','.join(str(k) for k in info['skipped'])}"]
     for norm in ("two", "inf", "one"):
         rows = [
             [
@@ -292,13 +289,13 @@ def cmd_example2(args):
         ]
         _write_csv(
             out / f"bounds_{norm}_norm.csv",
-            _header("example2", eff),
+            header,
             ["i", "max_error", "delta1", "delta2"],
             list(zip(*rows)),
         )
     _write_csv(
         out / "residual.csv",
-        _header("example2", eff),
+        header,
         ["i", "residual_norm", "f_norm"],
         [[rec[k] for rec in records] for k in ("i", "residual_norm", "f_norm")],
     )

@@ -5,6 +5,8 @@ through the symmetric eigendecomposition rather than an SVD, so that the
 result is symmetric by spectral reconstruction.  ``_SymFactor`` is the one
 factorization behind interpolation and the power-function; its constructor
 alone picks the route and what happens when Cholesky fails.
+``_NestedCholesky`` factors a Gramian once for all prefixes of its
+centers, skipping the centers whose pivots vanish.
 
 The Cholesky factor and its solves call scipy's f2py LAPACK extension,
 ``scipy/linalg/_flapack``, loaded from its file at import.  Importing
@@ -116,11 +118,11 @@ def cho_solve(c, b):
     return x
 
 
-def solve_triangular(a, b, overwrite_b=False):
-    """L^{-1} b for the Fortran-ordered lower triangle L of ``a``.
+def solve_triangular(a, b, overwrite_b=False, trans=0):
+    """L^{-1} b, or L^{-T} b with ``trans=1``, for the Fortran-ordered lower triangle L of ``a``.
 
-    As ``scipy.linalg.solve_triangular(a, b, lower=True)``, which passes a
-    Fortran-ordered ``a`` to LAPACK unchanged.
+    As ``scipy.linalg.solve_triangular(a, b, trans, lower=True)``, which
+    passes a Fortran-ordered ``a`` to LAPACK unchanged.
     """
     a1, b1 = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
     if not a1.flags.f_contiguous:
@@ -129,7 +131,8 @@ def solve_triangular(a, b, overwrite_b=False):
         raise ValueError(f"shapes of a {a1.shape} and b {b1.shape} are incompatible")
     if b1.size == 0:
         return np.empty_like(b1, dtype=np.float64)
-    x, info = _lapack.dtrtrs(a1, b1, lower=1, trans=0, unitdiag=0, overwrite_b=overwrite_b)
+    x, info = _lapack.dtrtrs(a1, b1, lower=1, trans=trans, unitdiag=0,
+                            overwrite_b=overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -304,6 +307,46 @@ class _SymFactor:
         # small GEMM per block.
         CP = (Cf @ self._M).reshape(C.shape)
         return np.einsum("aqn,bqn->qab", CP, C)
+
+
+class _NestedCholesky:
+    """Cholesky factors of a Gramian on every prefix of its centers, from one factor.
+
+    Left-looking, one center j at a time in the order of A's rows: with L
+    the factor of the centers kept before j, j's row is l = L^{-1} A[kept, j]
+    and its Schur pivot d^2 = A_jj - l^T l, the power function at center j
+    of the centers before it.  A center whose pivot is d^2 <= RANK_TOL * A_jj
+    is skipped, with no eigenvalue cutoff; ``kept`` marks the centers taken.  The factor of the kept centers among the
+    first i is then the leading block of L, so one factor serves every
+    prefix: ``forward`` applies L^{-1} once, and ``back`` solves with the
+    leading block.  Each pivot lowers the power function by the square of
+    one Newton basis function, the matching row of ``forward`` on the
+    cross matrix (Mueller and Schaback, J. Approx. Theory 2009).
+    """
+
+    path = "cholesky"
+
+    def __init__(self, A):
+        A = np.asarray_chkfinite(A)
+        n = len(A)
+        # row k of Lt is column k of L, over all n centers
+        Lt, kept, r = np.zeros((n, n)), np.zeros(n, dtype=bool), 0
+        for j in range(n):
+            v = A[j, j:] - Lt[:r, j] @ Lt[:r, j:]
+            if v[0] > RANK_TOL * A[j, j]:
+                Lt[r, j:] = v / np.sqrt(v[0])
+                kept[j], r = True, r + 1
+        self.kept = kept
+        # the (r, r) lower factor of the kept centers, Fortran-ordered
+        self._L = np.asfortranarray(Lt[:r, kept].T)
+
+    def forward(self, B):
+        """L^{-1} B[kept] for an (n, k) ``B`` with one row per center of A."""
+        return solve_triangular(self._L, np.asfortranarray(B[self.kept]), overwrite_b=True)
+
+    def back(self, Z, r):
+        """L_r^{-T} Z[:r], L_r the factor's leading (r, r) block."""
+        return solve_triangular(np.asfortranarray(self._L[:r, :r]), Z[:r], trans=1)
 
 
 def is_psd(A):

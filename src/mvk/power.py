@@ -30,9 +30,18 @@ c^T K^-1 c = w^T w with w = L^{-1} c, with no eigenvalue cutoff.
 Otherwise one eigendecomposition gives the pseudo-inverse; a strictly pd
 kernel whose block fails Cholesky takes it too, with a warning.
 
-``PowerEvaluator.deficiency_many`` is the one routine that computes D(x);
-the power-function, the bound factors, the error bounds and the scalar
-power-function (the m = 1 kernel ``k_s * [[1]]``) all read it.
+``PowerEvaluator.nested`` factors each scalar block once over a sequence
+of centers, by a Cholesky that skips the centers whose pivots vanish
+(``linalg._NestedCholesky``), and ``prefixes`` walks the nested prefixes
+X_1, ..., X_n from it: each prefix reads the leading block of the factor,
+and P_g^2 falls by the square of one Newton basis function per kept center
+(Mueller and Schaback 2009).  ``mvk example2`` takes this route.
+
+``PowerEvaluator.deficiency_many`` is the one routine that computes D(x)
+from a set of centers, and ``prefixes`` assembles each prefix's D from its
+P_g^2 as ``deficiency_many`` does; the power-function, the bound factors,
+the error bounds and the scalar power-function (the m = 1 kernel
+``k_s * [[1]]``) all read ``deficiency_many``.
 """
 
 from dataclasses import dataclass
@@ -40,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import CongruenceSplit
-from .interpolation import _block_solve, _blocks, _path, _split
+from .interpolation import Interpolant, _block_solve, _blocks, _path, _split
 from .kernels import PointSet, ScalarKernel, SeparableKernel
-from .linalg import PSD_TOL, _SymFactor, pinv_sym
+from .linalg import PSD_TOL, _NestedCholesky, _SymFactor, pinv_sym
 
 
 class PowerBreakdownError(RuntimeError):
@@ -85,6 +94,59 @@ class PowerEvaluator:
             del A
         return cls(kernel, centers, split, tuple(factors))
 
+    @classmethod
+    def nested(cls, kernel, centers):
+        """Factor each scalar block once over all ``centers``, for ``prefixes``.
+
+        The kernel must split (``interpolation._split``); each block gets one
+        ``linalg._NestedCholesky`` in center order, which skips the centers
+        whose Schur pivot falls to RANK_TOL of the diagonal and records the
+        ones it kept.
+        """
+        centers.assert_distinct()
+        split = _split(kernel)
+        if split is None:
+            raise ValueError("nested prefixes need a strictly pd kernel that splits")
+        return cls(kernel, centers, split, tuple(
+            (J, _NestedCholesky(A)) for J, A in _blocks(kernel, split, centers)))
+
+    def prefixes(self, values, Xq):
+        """Walk the prefixes X_1, ..., X_n of a ``nested`` evaluator's centers.
+
+        ``values`` is the (n, m) data at the centers.  Yields, for each i,
+        the interpolant of ``values[:i]`` on X_i, the (q, m) squared scalar
+        power functions P_g^2 at ``Xq`` in the directions of each group g
+        and the (q, m, m) deficiency matrices.  Group g interpolates on its
+        centers kept among X_i, and the interpolant's ``solver_info`` counts
+        the centers each block skipped.  One triangular solve per group gives
+        the Newton basis W = L^{-1} K_g(X, Xq)^T, and
+        P_g^2 = k_g(x, x) - sum_k W_k(x)^2 over the kept centers of X_i.
+        The data take one forward solve per group, and each prefix a
+        back-substitution on its leading block.
+        """
+        Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
+        T, m = self.split.T, self.kernel.m
+        F = values @ T.T
+        diag = self._scalar_diag(Xq)
+        walks = []
+        for (J, factor), (_, C) in zip(self.factors, _blocks(self.kernel, self.split,
+                                                             self.centers, Xq)):
+            W = factor.forward(C.T)
+            walks.append((J, factor, np.cumsum(W * W, axis=0), factor.forward(F[:, J])))
+        for i in range(1, self.centers.n + 1):
+            B, p2, skipped = np.zeros((i, m)), np.empty((len(Xq), m)), []
+            for g, (J, factor, sq, Z) in enumerate(walks):
+                kept = factor.kept[:i]
+                r = int(np.count_nonzero(kept))
+                p2[:, J] = (diag[g] - sq[r - 1] if r else diag[g])[:, None]
+                BJ = np.zeros((i, Z.shape[1]))
+                BJ[kept] = factor.back(Z, r)
+                B[:, J] = BJ
+                skipped.append(i - r)
+            info = {"path": self.path, "blocks": len(walks), "skipped": skipped}
+            s = Interpolant(self.kernel, self.centers.prefix(i), (B @ T).reshape(-1), info)
+            yield s, p2, self._from_powers(p2)
+
     @property
     def path(self):
         return _path([f.path for _, f in self.factors])
@@ -126,31 +188,30 @@ class PowerEvaluator:
             ((_, C),) = _blocks(self.kernel, None, self.centers, Xq)
             C = C.reshape(self.kernel.m, len(Xq), self.kernel.m * self.centers.n)
             D = self.kernel.diag_value(Xq) - self.factors[0][1].inner(C)
-        else:
-            # k_g(x, x) and the scalar power functions, one group at a time
-            diag = self.split.lam.T @ [ks.diag(Xq) for ks, _ in self.kernel.terms]
-            p2 = np.empty((len(Xq), self.kernel.m))
-            blocks = _blocks(self.kernel, self.split, self.centers, Xq)
-            for g, (_, factor) in enumerate(self.factors):
-                J, C = next(blocks)
-                p2[:, J] = (diag[g] - factor.inner(C[None])[:, 0, 0])[:, None]
-                del C
-            Ti = self.split.T_inv
-            D = (Ti * p2[:, None, :]) @ Ti.T
+            return 0.5 * (D + np.swapaxes(D, 1, 2))
+        # k_g(x, x) and the scalar power functions, one group at a time
+        diag = self._scalar_diag(Xq)
+        p2 = np.empty((len(Xq), self.kernel.m))
+        blocks = _blocks(self.kernel, self.split, self.centers, Xq)
+        for g, (_, factor) in enumerate(self.factors):
+            J, C = next(blocks)
+            p2[:, J] = (diag[g] - factor.inner(C[None])[:, 0, 0])[:, None]
+            del C
+        return self._from_powers(p2)
+
+    def _scalar_diag(self, Xq):
+        """k_g(x, x) of each group's scalar kernel, a (groups, q) array."""
+        return self.split.lam.T @ [ks.diag(Xq) for ks, _ in self.kernel.terms]
+
+    def _from_powers(self, p2):
+        """D(x) = T^-1 diag(P_g(x)^2) T^-T from the (q, m) scalar powers, symmetrized."""
+        Ti = self.split.T_inv
+        D = (Ti * p2[:, None, :]) @ Ti.T
         return 0.5 * (D + np.swapaxes(D, 1, 2))
 
     def bound_factors(self, Xq):
-        """Pointwise error-bound factors for a (q, d) batch.
-
-        With D(x) the deficiency matrix, returns a dict of (q,) arrays:
-        ``two`` = ||D||_2^(1/2), ``inf`` = max_i |D_ii|^(1/2) and
-        ``one`` = sqrt(m) ||D||_2^(1/2).
-        """
-        D = self.deficiency_many(Xq)
-        # D(x) is symmetric, so its 2-norm is its largest eigenvalue magnitude
-        two = np.sqrt(np.max(np.abs(np.linalg.eigvalsh(D)), axis=1))
-        inf = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
-        return {"two": two, "inf": inf, "one": np.sqrt(self.kernel.m) * two}
+        """Pointwise error-bound factors for a (q, d) batch; see ``bound_factors``."""
+        return bound_factors(self.deficiency_many(Xq))
 
     def power_sq(self, x, alpha):
         """Squared power-function alpha^T D(x) alpha, clamped to [0, inf)."""
@@ -185,6 +246,18 @@ class PowerEvaluator:
             "with_residual": {k: v * residual_norm for k, v in factors.items()},
             "with_full_norm": {k: v * f_norm for k, v in factors.items()},
         }
+
+
+def bound_factors(D):
+    """Pointwise error-bound factors of a (q, m, m) batch of deficiency matrices.
+
+    Returns a dict of (q,) arrays: ``two`` = ||D||_2^(1/2),
+    ``inf`` = max_i |D_ii|^(1/2) and ``one`` = sqrt(m) ||D||_2^(1/2).
+    """
+    # D(x) is symmetric, so its 2-norm is its largest eigenvalue magnitude
+    two = np.sqrt(np.max(np.abs(np.linalg.eigvalsh(D)), axis=1))
+    inf = np.sqrt(np.max(np.abs(np.diagonal(D, axis1=1, axis2=2)), axis=1))
+    return {"two": two, "inf": inf, "one": np.sqrt(D.shape[-1]) * two}
 
 
 def scalar_power_sq(ks: ScalarKernel, X: PointSet, x):

@@ -114,11 +114,13 @@ def test_example2_outputs(tmp_path):
             err, d1, d2 = (float(v) for v in r[1:])
             assert err <= d1 * (1 + 1e-9)
             assert d1 <= d2 * (1 + 1e-9)
-    # the header records the pseudo-inverse cutoff example2 runs with
+    # the header records the pivot cutoff of the nested Cholesky factors,
+    # RANK_TOL as in every command, and the centers each block skipped
     for name in ("bounds_two_norm", "bounds_inf_norm", "bounds_one_norm", "residual"):
-        assert read_header(out / f"{name}.csv")[4] == (
-            "# tolerances: rank_tol=1e-08 psd_tol=1e-10 lin_tol=1e-08"
-        )
+        assert read_header(out / f"{name}.csv")[4:] == [
+            "# tolerances: rank_tol=1e-10 psd_tol=1e-10 lin_tol=1e-08",
+            "# solver: nested path=cholesky skipped=0,0,0",
+        ]
     header, rows = read_csv(out / "residual.csv")
     assert header == ["i", "residual_norm", "f_norm"]
     r_norms = [float(r[1]) for r in rows]
@@ -139,10 +141,14 @@ def test_example2_bounds_hold_through_the_split(seed):
             assert np.all(d1 <= d2), (rec["i"], norm)
 
 
-def test_example2_with_the_sites_among_the_centers():
+# With a pivot cutoff of 0 or 1e-14 in place of RANK_TOL, seed 8 breaks
+# err <= delta1 at prefix 100 (cutoffs from 1e-13 to 1e-10 keep it); the
+# other seeds hold at every cutoff from 0 to 1e-10.
+@pytest.mark.parametrize("seed", [42, 0, 8, 26, 27])
+def test_example2_with_the_sites_among_the_centers(seed):
     # --include-sites puts the 5 sites among the last 5 centers, so the
     # union of sites and centers in ||f - s|| repeats points
-    recs = example2_run(include_sites=True)
+    recs = example2_run(seed=seed, include_sites=True)
     for rec in recs:
         assert rec["residual_norm"] <= rec["f_norm"]
         for norm in ("two", "inf", "one"):

@@ -128,6 +128,8 @@ def test_factor_and_solves_match_scipy(n):
         ref = scipy.linalg.solve_triangular(c, b, lower=True)
         assert np.array_equal(linalg.solve_triangular(c, b), ref)
         assert np.array_equal(linalg.solve_triangular(c, b.copy(order="F"), overwrite_b=True), ref)
+        ref = scipy.linalg.solve_triangular(c, b, trans=1, lower=True)
+        assert np.array_equal(linalg.solve_triangular(c, b, trans=1), ref)
 
 
 def test_factor_in_place_matches_scipy():

@@ -231,6 +231,50 @@ def test_deficiency_nonincreasing_as_centers_grow(problem):
         prev = D
 
 
+def _splits(problem):
+    return problem[0].strictly_pd and congruence_split(problem[0].coefficients()) is not None
+
+
+# A coupled m = 2 kernel that splits into two Gaussians, with its 4th center
+# 1e-6 from its 1st: the 4th pivots of the scalar blocks are 6e-13 and
+# 3e-13 of the diagonal, so each nested factor skips that center.
+NESTED_SKIP = (
+    SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.array([[2.0, 1.0], [1.0, 2.0]])),
+                            (ScalarKernel.gaussian(3.0), np.array([[1.0, 0.0], [0.0, 0.5]]))]),
+    PointSet(np.array([[0.1], [0.5], [-0.4], [0.1 + 1e-6], [0.9]])),
+    np.array([[0.0], [0.3], [-0.8]]),
+    np.ones((5, 2)),
+)
+
+
+@SETTINGS
+@given(problems().filter(_splits))
+@example(NESTED_SKIP)
+def test_nested_prefixes_keep_the_power_function_laws(problem):
+    # Along the prefixes of one pivot-skipping factor per scalar block, with
+    # the centers among the queries: P_g^2 never grows, stays above
+    # -RANK_TOL k_g(x, x), and lies below RANK_TOL k_g(x, x) at every center
+    # kept so far; the skip counts the interpolant reports match the masks.
+    kernel, X, Xq, A = problem
+    pe = PowerEvaluator.nested(kernel, X)
+    Z = np.vstack([X.points, Xq])
+    k = np.empty((len(Z), kernel.m))
+    for (J, _), kg in zip(pe.factors, pe._scalar_diag(Z)):
+        k[:, J] = kg[:, None]
+    prev = k
+    for s, p2, _ in pe.prefixes(A, Z):
+        i = s.centers.n
+        assert np.all(p2 <= prev)
+        assert np.all(p2 >= -RANK_TOL * k)
+        for (J, factor), skipped in zip(pe.factors, s.solver_info["skipped"]):
+            kept = factor.kept[:i]
+            assert skipped == i - np.count_nonzero(kept)
+            assert np.all(p2[:i][kept][:, J] <= RANK_TOL * k[:i][kept][:, J])
+        prev = p2
+    if problem is NESTED_SKIP:
+        assert s.solver_info["skipped"] == [1, 1]
+
+
 @SETTINGS
 @given(problems())
 def test_additivity_gap(problem):
