@@ -446,7 +446,10 @@ def cmd_eval(args):
         raise SystemExit(
             f"error: --residual-norm must be finite and >= 0, got {args.residual_norm}"
         )
-    s = load_model(args.model)
+    try:
+        s = load_model(args.model)
+    except (TypeError, ValueError) as err:
+        raise SystemExit(f"error: {args.model}: {err}") from None
     X, _, d, _ = _read_data_csv(args.data)
     if d != s.centers.d and s.centers.n:
         raise SystemExit(

@@ -283,11 +283,30 @@ def save_model(s: Interpolant, path):
 
 
 def load_model(path) -> Interpolant:
+    """Read a model file written by :func:`save_model`.
+
+    Raises ValueError when the file is not JSON or not an mvk-model-v1
+    document, lacks a field, or when its centers are not (n, input_dim)
+    or its coefficients not n * m values.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "mvk-model-v1":
-        raise ValueError(f"not a model file: {path}")
-    kernel = SeparableKernel.from_dict(doc["kernel"])
-    centers = PointSet(np.asarray(doc["centers"]), d=doc["input_dim"])
-    coeffs = np.asarray(doc["coeffs"], dtype=np.float64)
-    return Interpolant(kernel, centers, coeffs, doc["solver_info"])
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # not JSON, or bytes that are not text
+            raise ValueError(f"not a JSON file: {err}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "mvk-model-v1":
+        raise ValueError("not an mvk-model-v1 file")
+    try:
+        kernel = SeparableKernel.from_dict(doc["kernel"])
+        n, d = len(doc["centers"]), doc["input_dim"]
+        centers = PointSet(np.asarray(doc["centers"], dtype=np.float64), d=d)
+        coeffs = np.asarray(doc["coeffs"], dtype=np.float64)
+        info = doc["solver_info"]
+    except KeyError as err:
+        raise ValueError(f"no field {err}") from None
+    if centers.points.shape != (n, d):
+        raise ValueError(f"centers have shape {centers.points.shape}, "
+                         f"not (n, input_dim) = ({n}, {d})")
+    if coeffs.shape != (n * kernel.m,):
+        raise ValueError(f"coeffs have shape {coeffs.shape}, not (n * m,) = ({n * kernel.m},)")
+    return Interpolant(kernel, centers, coeffs, info)

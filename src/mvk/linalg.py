@@ -79,8 +79,9 @@ def _load_flapack():
     return lapack
 
 
-# Loaded here, not on first use, so that LAPACK and its BLAS threads start
-# with the import.
+# Loaded here, not on first use, so that scipy's OpenBLAS and its worker
+# pool start with the import, while ``mvk/__init__`` still holds its
+# OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads only when it loads.
 _lapack = _load_flapack()
 
 

@@ -454,6 +454,38 @@ def test_malformed_data_csv_is_an_error_line(tmp_path, command, case):
     assert not out.exists() and (command == "eval" or not model.exists())
 
 
+def _drop_last(doc, key):
+    doc[key] = doc[key][:-1] if key == "coeffs" else [c[:-1] for c in doc[key]]
+    return json.dumps(doc)
+
+
+BAD_MODELS = {
+    "not JSON": (lambda doc: "{not json", "not a JSON file"),
+    "wrong format": (lambda doc: json.dumps(dict(doc, format="other")), "not an mvk-model-v1 file"),
+    "short coeffs": (lambda doc: _drop_last(doc, "coeffs"), "coeffs have shape (119,), not"),
+    "centers not (n, input_dim)": (lambda doc: _drop_last(doc, "centers"),
+                                   "centers have shape (40, 1), not (n, input_dim) = (40, 2)"),
+    "missing field": (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "kernel"}),
+                      "no field 'kernel'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_bad_model_file_is_an_error_line(tmp_path, case):
+    edit, message = BAD_MODELS[case]
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    assert main(["fit", "--data", str(FIXTURE / "coupled_train.csv"),
+                 "--kernel", str(FIXTURE / "coupled_kernel.json"),
+                 "--out-model", str(model)]) == 0
+    model.write_text(edit(json.loads(model.read_text())))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(model), "--data", str(FIXTURE / "coupled_query.csv"),
+              "--out-csv", str(out)])
+    assert str(exc.value.code).startswith(f"error: {model}: ")
+    assert message in str(exc.value.code)
+    assert not out.exists()
+
+
 def test_data_columns_are_taken_by_name(tmp_path, capsys):
     # the same data with its columns in another order give the same model
     X = np.linspace(-1, 1, 6)[:, None] * [1.0, -0.5]

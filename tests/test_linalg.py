@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -241,12 +242,70 @@ def test_fallback_module_gives_the_same_results(monkeypatch):
     assert all(map(np.array_equal, direct, via_fallback))
 
 
-def test_importing_the_cli_does_not_import_scipy_linalg():
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(linalg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_the_cli_does_not_import_scipy_linalg():
+    env = _src_env()
     code = ("import sys, mvk.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy.linalg' or m.startswith('scipy.linalg.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Records OPENBLAS_THREAD_TIMEOUT at the first import of numpy, then imports
+# the CLI and reports the environment afterwards.
+SPIN_LIMIT_PROBE = """
+import importlib.abc, json, os, sys
+assert "numpy" not in sys.modules
+seen = []
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Probe())
+before = dict(os.environ)
+import mvk, mvk.cli
+print(json.dumps({"at_numpy": seen, "unchanged": dict(os.environ) == before,
+                  "after": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+                  "mvk": mvk.BLAS_THREAD_TIMEOUT}))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "28"])
+def test_numpy_loads_with_the_spin_limit(preset):
+    env = _src_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    out = json.loads(subprocess.run([sys.executable, "-c", SPIN_LIMIT_PROBE], env=env,
+                                    capture_output=True, text=True, check=True).stdout)
+    expected = str(out["mvk"]) if preset is None else preset
+    assert out["at_numpy"] == [expected]
+    assert out["unchanged"]
+    assert out["after"] == preset
+
+
+def test_outputs_do_not_depend_on_the_spin_limit(tmp_path):
+    # fit + eval --bounds under mvk's spin limit and under OpenBLAS's
+    # default, 28: the limit decides only when an idle BLAS worker sleeps
+    data = Path(__file__).parent / "data"
+    env = _src_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    outputs = []
+    for preset in (None, "28"):
+        out = tmp_path / str(preset)
+        out.mkdir()
+        model, pred = out / "model.json", out / "pred.csv"
+        for argv in (["fit", "--data", str(data / "coupled_train.csv"),
+                      "--kernel", str(data / "coupled_kernel.json"), "--out-model", str(model)],
+                     ["eval", "--model", str(model), "--data", str(data / "coupled_query.csv"),
+                      "--out-csv", str(pred), "--bounds", "--residual-norm", "0.5"]):
+            subprocess.run([sys.executable, "-m", "mvk.cli", *argv], check=True, capture_output=True,
+                           env=env if preset is None else dict(env, OPENBLAS_THREAD_TIMEOUT=preset))
+        outputs.append((model.read_bytes(), pred.read_bytes()))
+    assert outputs[0] == outputs[1]
