@@ -8,7 +8,9 @@ computed with vectorized numpy.
 The Gaussian is split into ``_sq_dists``, which builds the squared
 distances in one (n, q) array, and ``_gaussian``, which exponentiates
 them, so that the Gaussian terms of a separable kernel share one distance
-matrix per point pair (``SeparableKernel._term_matrices``).
+matrix per point pair (``SeparableKernel._term_matrices``).  Both can
+write into a caller's buffer, so that ``SeparableKernel.apply`` reuses two
+tile-sized arrays for every row tile of its queries.
 
 ``_gaussian`` flushes to zero: every entry whose exponent -eps * d2 lies
 below ``EXP_FLOOR`` is exactly 0, every other one is ``np.exp``'s value
@@ -26,21 +28,26 @@ from every other one.
 
 import numpy as np
 
-# Entries per row panel of ``_gaussian``: 2^15 float64 (256 KiB) and their
-# mask stay in L2 through the passes over a panel.
-PANEL = 2**15
+# Entries per row panel of ``_gaussian`` and per query tile of
+# ``SeparableKernel.apply`` (and of ``PointSet.min_separation``): 2^16
+# float64 (512 KiB) per array, so a panel and its mask, or a tile's
+# distances and one term's kernel values, stay in a 2 MiB L2.
+PANEL = 2**16
 # Smallest exponent ``_gaussian`` evaluates; exp(-700) = 9.86e-305 is
 # normal and inside numpy's fast range (to about -707).
 EXP_FLOOR = -700.0
 
 
-def _sq_dists(X, Y):
-    """Matrix of ||x_i - y_j||^2, built in one (n, q) array."""
+def _sq_dists(X, Y, out=None):
+    """Matrix of ||x_i - y_j||^2, built in one (n, q) array.
+
+    Written into ``out``, a C-contiguous (n, q) array, if given.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     # (x - y)^2 expanded as -2 x.y + |x|^2 + |y|^2, which rounds exactly as
     # |x|^2 - 2 x.y + |y|^2; clamp tiny negatives from cancellation
-    d2 = X @ Y.T
+    d2 = np.matmul(X, Y.T, out=out)
     d2 *= -2.0
     d2 += np.sum(X * X, axis=1)[:, None]
     d2 += np.sum(Y * Y, axis=1)

@@ -128,7 +128,10 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise SystemExit(f"error: {path}: not a JSON file: {err}") from None
 
 
 def _outdir(args):
@@ -346,13 +349,13 @@ def cmd_counterexample(args):
 
 def _load_kernel_file(path, unchecked=False):
     with open(path) as fh:
-        doc = json.load(fh)
-    if "kernel" in doc:
-        doc = doc["kernel"]
-    try:
-        return SeparableKernel.from_dict(doc, unchecked=unchecked)
-    except (KeyError, TypeError, ValueError) as err:
-        raise SystemExit(f"error: cannot parse kernel spec {path}: {err}")
+        try:
+            doc = json.load(fh)
+            if "kernel" in doc:
+                doc = doc["kernel"]
+            return SeparableKernel.from_dict(doc, unchecked=unchecked)
+        except (KeyError, TypeError, ValueError) as err:
+            raise SystemExit(f"error: cannot parse kernel spec {path}: {err}") from None
 
 
 def cmd_analyze(args):
@@ -532,7 +535,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # a file that is missing or cannot be read or written
+        raise SystemExit(f"error: {err.filename}: {err.strerror}" if err.filename
+                         else f"error: {err}") from None
 
 
 if __name__ == "__main__":

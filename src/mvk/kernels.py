@@ -13,9 +13,12 @@ component-major order, block (a, b) = sum_i Q_i[a, b] k_i(X, Y), in place.
 ``gramian`` and ``cross_many`` permute it to the point-major Kronecker
 layout; no solver or norm uses them (they serve ``counterexample``, tests
 and benchmark hooks).  Interpolants are evaluated term by term without the
-block matrix.  All of them, and the term-by-term fit, take the per-term
-matrices from one generator (``_term_matrices``), which computes one
-squared-distance matrix per point pair for all Gaussian terms.
+block matrix (``apply``), in row tiles of the queries whose distances and
+kernel values go through two reused L2-sized buffers, so evaluation memory
+does not grow with the number of queries.  All of them, and the
+term-by-term fit, take the per-term matrices from one generator
+(``_term_matrices``), which computes one squared-distance matrix per point
+pair (or per query tile) for all Gaussian terms.
 """
 
 from dataclasses import dataclass, field
@@ -127,19 +130,30 @@ class PointSet:
         return self.points.shape[1]
 
     def min_separation(self) -> float:
-        if self.n < 2:
+        n = self.n
+        if n < 2:
             return np.inf
-        # squared distances summed one coordinate at a time into one n x n
-        # array through one difference buffer; sqrt is monotone, so only the
-        # minimum needs it
-        sq = np.zeros((self.n, self.n))
-        diff = np.empty_like(sq)
-        for x in self.points.T:
-            np.subtract.outer(x, x, out=diff)
-            diff *= diff
-            sq += diff
-        np.fill_diagonal(sq, np.inf)
-        return float(np.sqrt(sq.min()))
+        # squared distances summed one coordinate at a time, in row tiles of
+        # the upper triangle: tile rows i..i+r against the points from i on,
+        # through two reused buffers of at most PANEL entries (or one row).
+        # (x_a - x_b)^2 rounds as (x_b - x_a)^2, so the lower triangle adds
+        # nothing; sqrt is monotone, so only the minimum needs it
+        rows = min(n, max(1, backends.PANEL // n))
+        sq = np.empty(rows * n)
+        diff = np.empty(rows * n)
+        best = np.inf
+        for i in range(0, n - 1, rows):
+            r = min(rows, n - i)
+            s = sq[:r * (n - i)].reshape(r, n - i)
+            t = diff[:r * (n - i)].reshape(r, n - i)
+            s.fill(0.0)
+            for x in self.points.T:
+                np.subtract.outer(x[i:i + r], x[i:], out=t)
+                t *= t
+                s += t
+            np.fill_diagonal(s, np.inf)
+            best = min(best, s.min())
+        return float(np.sqrt(best))
 
     def assert_distinct(self):
         sep = self.min_separation()
@@ -229,21 +243,26 @@ class SeparableKernel:
             return self(x, x)
         return sum(ks.diag(x)[:, None, None] * Q for ks, Q in self.terms)
 
-    def _term_matrices(self, Xa, Xb):
-        """Yield (k_i(Xa, Xb), Q_i) in term order, each matrix a new array.
+    def _term_matrices(self, Xa, Xb, out=(None, None)):
+        """Yield (k_i(Xa, Xb), Q_i) in term order.
 
         The Gaussian terms share one squared-distance matrix, and the last
         of them is exponentiated into it; polynomial terms are built by
-        their scalar kernel.
+        their scalar kernel, each a new array.  ``out`` may be a pair of
+        C-contiguous (na, nb) buffers: the distances go into the first and
+        the other Gaussian terms into the second, so a consumer must be
+        done with one matrix before it asks for the next.  By default every
+        matrix is a new array.
         """
         gaussian = [i for i, (ks, _) in enumerate(self.terms) if ks.kind == "gaussian"]
-        d2 = backends._sq_dists(Xa, Xb) if gaussian else None
+        d2_buf, k_buf = out
+        d2 = backends._sq_dists(Xa, Xb, out=d2_buf) if gaussian else None
         for i, (ks, Q) in enumerate(self.terms):
             if i not in gaussian:
                 yield ks.cross(Xa, Xb), Q
             else:
-                out = d2 if i == gaussian[-1] else None
-                yield backends._gaussian(d2, ks.shape, out=out), Q
+                k = d2 if i == gaussian[-1] else k_buf
+                yield backends._gaussian(d2, ks.shape, out=k), Q
 
     def _blocks(self, Xa, Xb):
         """The block matrix k(Xa, Xb) in component-major order, (m, na, m, nb).
@@ -304,16 +323,25 @@ class SeparableKernel:
 
         ``A`` is the (n, m) array whose row j is a_j.  It is evaluated term
         by term as sum_i k_i(Xq, X) (A Q_i), which never forms the
-        (q, m, m n) cross blocks.
+        (q, m, m n) cross blocks.  The queries go in row tiles of
+        PANEL // n rows (at least one): each tile's distances and each of
+        its terms in turn are written into two reused (rows, n) buffers
+        that stay in L2, so memory does not grow with q.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        out = np.zeros((Xq.shape[0], self.m))
+        q = Xq.shape[0]
+        out = np.zeros((q, self.m))
         if X.n == 0:
             return out
         A = np.asarray(A, dtype=np.float64).reshape(X.n, self.m)
-        for K, Q in self._term_matrices(Xq, X.points):
-            out += K @ (A @ Q)
-            del K  # free this term's matrix before the next one is built
+        AQ = [A @ Q for _, Q in self.terms]
+        rows = max(1, backends.PANEL // X.n)
+        bufs = np.empty((2, min(rows, q), X.n))
+        for i in range(0, q, rows):
+            o = out[i:i + rows]
+            terms = self._term_matrices(Xq[i:i + rows], X.points, bufs[:, :len(o)])
+            for (K, _), AQ_i in zip(terms, AQ):
+                o += K @ AQ_i
         return out
 
     def coefficients(self):

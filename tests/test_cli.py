@@ -269,6 +269,53 @@ def test_analyze_rejects_garbage(tmp_path):
         main(["analyze", str(bad)])
 
 
+@pytest.mark.parametrize("command", ["fit", "analyze", "example1"])
+def test_file_that_is_not_json_is_an_error_line(tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv, message = {
+        "fit": (["fit", "--data", str(FIXTURE / "coupled_train.csv"), "--kernel", str(bad),
+                 "--out-model", str(tmp_path / "model.json")],
+                f"error: cannot parse kernel spec {bad}: "),
+        "analyze": (["analyze", str(bad)], f"error: cannot parse kernel spec {bad}: "),
+        "example1": (["example1", "--config", str(bad), "--out", str(tmp_path / "out")],
+                     f"error: {bad}: not a JSON file: "),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value.code).startswith(message)
+
+
+# argv with one file argument that does not exist, by the argument's name
+MISSING_FILES = {
+    "fit --data": ["fit", "--data", "{missing}", "--kernel", "{kernel}",
+                   "--out-model", "{model}"],
+    "fit --kernel": ["fit", "--data", "{train}", "--kernel", "{missing}",
+                     "--out-model", "{model}"],
+    "eval --model": ["eval", "--model", "{missing}", "--data", "{query}",
+                     "--out-csv", "{pred}"],
+    "eval --data": ["eval", "--model", "{model}", "--data", "{missing}",
+                    "--out-csv", "{pred}"],
+    "example1 --config": ["example1", "--config", "{missing}", "--out", "{out}"],
+    "analyze": ["analyze", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_FILES))
+def test_missing_file_is_an_error_line(tmp_path, case):
+    files = dict(missing=tmp_path / "nosuch", kernel=FIXTURE / "coupled_kernel.json",
+                 train=FIXTURE / "coupled_train.csv", query=FIXTURE / "coupled_query.csv",
+                 model=tmp_path / "model.json", pred=tmp_path / "pred.csv",
+                 out=tmp_path / "out")
+    if case.startswith("eval"):
+        assert main(["fit", "--data", str(files["train"]), "--kernel", str(files["kernel"]),
+                     "--out-model", str(files["model"])]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in MISSING_FILES[case]])
+    assert exc.value.code == f"error: {files['missing']}: No such file or directory"
+    assert not files["pred"].exists() and not files["out"].exists()
+
+
 def well_conditioned_kernel():
     from mvk.kernels import ScalarKernel, SeparableKernel
 

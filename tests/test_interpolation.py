@@ -432,9 +432,9 @@ def test_split_fit_shares_one_distance_matrix(monkeypatch):
     calls = []
     sq_dists = backends._sq_dists
 
-    def counting(Xa, Xb):
+    def counting(Xa, Xb, out=None):
         calls.append(1)
-        return sq_dists(Xa, Xb)
+        return sq_dists(Xa, Xb, out=out)
 
     monkeypatch.setattr(backends, "_sq_dists", counting)
     s = fit(k, X, F)

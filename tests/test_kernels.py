@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,16 +72,23 @@ def test_point_set_rejects_bad_input():
         PointSet([[np.inf, 0.0]])
 
 
-def test_min_separation_matches_pairwise_reference():
+def test_min_separation_matches_pairwise_reference(monkeypatch):
     # the (n, n, d) broadcast it replaced; the coordinate sums run in the
-    # same order for d <= 8, so the values are equal
+    # same order for d <= 8, so the values are equal.  A PANEL of 64 makes
+    # row tiles of 1 or 2 rows, and the last point set has a duplicate
+    # pair whose rows fall in different tiles.
     rng = np.random.default_rng(3)
-    for n, d in ((2, 1), (40, 1), (60, 2), (30, 3), (25, 8)):
-        pts = rng.uniform(-1, 1, (n, d))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        assert PointSet(pts).min_separation() == dist.min()
+    sets = [rng.uniform(-1, 1, (n, d)) for n, d in ((2, 1), (40, 1), (60, 2), (30, 3), (25, 8))]
+    dup = rng.uniform(-1, 1, (31, 2))
+    dup[23] = dup[4]
+    for panel in (backends.PANEL, 64):
+        monkeypatch.setattr(backends, "PANEL", panel)
+        for pts in sets + [dup]:
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            np.fill_diagonal(dist, np.inf)
+            assert PointSet(pts).min_separation() == dist.min()
+        assert PointSet(dup).min_separation() == 0.0
 
 
 def test_point_set_duplicates():
@@ -243,6 +252,35 @@ def test_shared_distances_match_per_term_cross():
     assert np.array_equal(k.apply(Xq, X, A), apply_ref)
 
 
+def test_apply_without_queries_or_centers():
+    k = mixed_kernel()
+    X = PointSet(np.random.default_rng(13).uniform(-1, 1, (9, 2)))
+    assert k.apply(np.zeros((0, 2)), X, np.ones((9, 2))).shape == (0, 2)
+    out = k.apply(X.points, PointSet([], d=2), np.zeros((0, 2)))
+    assert np.array_equal(out, np.zeros((9, 2)))
+
+
+def test_apply_memory_does_not_grow_with_queries(monkeypatch):
+    # tiles of PANEL // n = 256 rows: beyond its (q, m) result, apply's
+    # peak is the same for 2 and for 8 tiles
+    monkeypatch.setattr(backends, "PANEL", 2**12)
+    k = mixed_kernel()
+    rng = np.random.default_rng(14)
+    X = PointSet(rng.uniform(-1, 1, (16, 2)))
+    A = rng.standard_normal((16, 2))
+    peaks = []
+    for q in (2 * 256, 8 * 256):
+        Xq = rng.uniform(-1, 1, (q, 2))
+        tracemalloc.start()
+        try:
+            out = k.apply(Xq, X, A)
+            peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    # one (256, 16) matrix is 32 KiB
+    assert peaks[1] <= peaks[0] + 4096
+
+
 @pytest.mark.parametrize("op", ["apply", "gramian", "cross_many"])
 def test_gaussian_terms_compute_distances_once(monkeypatch, op):
     k = SeparableKernel.create(
@@ -254,15 +292,24 @@ def test_gaussian_terms_compute_distances_once(monkeypatch, op):
     calls = []
     sq_dists = backends._sq_dists
 
-    def counting(Xa, Xb):
-        calls.append(1)
-        return sq_dists(Xa, Xb)
+    def counting(Xa, Xb, out=None):
+        calls.append(len(Xa))
+        return sq_dists(Xa, Xb, out=out)
 
     monkeypatch.setattr(backends, "_sq_dists", counting)
-    if op == "apply":
-        k.apply(Xq, X, rng.standard_normal((6, 2)))
-    elif op == "gramian":
+    if op == "gramian":
         k.gramian(X)
-    else:
+        assert calls == [6]
+    elif op == "cross_many":
         k.cross_many(Xq, X)
-    assert len(calls) == 1
+        assert calls == [5]
+    else:
+        A = rng.standard_normal((6, 2))
+        k.apply(Xq, X, A)
+        assert calls == [5]
+        # tiles of PANEL // n = 2 rows, the last one short: one distance
+        # matrix per tile
+        calls.clear()
+        monkeypatch.setattr(backends, "PANEL", 12)
+        k.apply(Xq, X, A)
+        assert calls == [2, 2, 1]

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from mvk import NativeSpanFunction, PointSet, PowerEvaluator, ScalarKernel, SeparableKernel
+from mvk import backends
 from mvk.decomposition import congruence_split, orthogonal_products
 from mvk.interpolation import (
     ConditioningError,
@@ -81,13 +82,19 @@ def _assert_close(got, ref, scale):
 
 
 @SETTINGS
-@given(problems())
-def test_interpolant_evaluation_matches_dense_cross(problem):
+@given(problems(), st.integers(1, 3))
+def test_interpolant_evaluation_matches_dense_cross(problem, rows):
     kernel, X, Xq, A = problem
     s = Interpolant(kernel, X, A.reshape(-1), {})
     C = kernel.cross_many(Xq, X)
-    _assert_close(s.evaluate_many(Xq), C @ s.coeffs, np.abs(C) @ np.abs(s.coeffs))
+    scale = np.abs(C) @ np.abs(s.coeffs)
+    _assert_close(s.evaluate_many(Xq), C @ s.coeffs, scale)
     _assert_close(s(Xq[0]), C[0] @ s.coeffs, np.abs(C[0]) @ np.abs(s.coeffs))
+    # again in query tiles of PANEL // n = rows rows, the last one short
+    # unless rows divides q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends, "PANEL", rows * X.n)
+        _assert_close(s.evaluate_many(Xq), C @ s.coeffs, scale)
 
 
 @SETTINGS
