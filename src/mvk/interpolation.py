@@ -4,13 +4,15 @@ The interpolant of data (X, f(X)) is s(x) = sum_i k(x, x_i) alpha_i where
 the stacked coefficient vector solves the block Gramian system
 k(X, X) alpha = f(X).  ``fit`` solves it block by block through
 ``linalg._SymFactor``: Cholesky for strictly positive definite kernels,
-otherwise the minimal-norm pseudo-inverse solution.  A strictly pd kernel
-whose coefficients split by one congruence T (T Q_i T^T diagonal, see
-:func:`~mvk.decomposition.congruence_split`) gives one n x n scalar block
-per distinct kernel sum_i lam_ig k_i, without the block Gramian; the
-paper's uncoupled kernels split this way with one block per term.  Any
-other kernel gives the block Gramian as its one block, assembled in place
-by ``SeparableKernel._blocks`` with the unknowns ordered by component.
+otherwise a diagonally pivoted Cholesky that skips the unknowns whose
+Schur pivots vanish and sets their coefficients to zero.  A strictly pd
+kernel whose coefficients split by one congruence T (T Q_i T^T diagonal,
+see :func:`~mvk.decomposition.congruence_split`) gives one n x n scalar
+block per distinct kernel sum_i lam_ig k_i, without the block Gramian;
+the paper's uncoupled kernels split this way with one block per term.
+Any other kernel gives the block Gramian as its one block, assembled in
+place by ``SeparableKernel._blocks`` with the unknowns ordered by
+component.
 ``_blocks`` builds the blocks for ``fit``, ``PowerEvaluator`` and both
 native norms (one quadratic form, ``_quad_form``).  Data enter and leave
 them through ``_block_solve``, F T^T in and B T out, so ``coeffs`` stays
@@ -28,7 +30,7 @@ from .kernels import PointSet, SeparableKernel, _as_point
 from .linalg import PSD_TOL, ConditioningError, _SymFactor, symmetrize  # noqa: F401  fit raises it
 from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
 
-# Relative residual beyond which a Cholesky fit is flagged ill-conditioned.
+# Relative residual beyond which a Cholesky fit, plain or pivoted, warns.
 LIN_TOL = 1e-8
 # Relative slack below zero tolerated in residual_norm_sq, on the scale of
 # max(1, ||f||^2), before it raises.
@@ -69,7 +71,12 @@ def fit(kernel, X, values, lu_fallback=False):
     ``lu_fallback`` is set, in which case an LU solve of the same system
     is used (truncating tiny eigenvalues instead would put a floor under
     the achievable interpolation error).  Kernels that are merely positive
-    definite take the minimal-norm pseudo-inverse solution.
+    definite take the pivoted Cholesky (``linalg._PivotedCholesky``): the
+    unknowns whose Schur pivots vanish are skipped and get zero
+    coefficients, so ``rank_used`` counts the pivots kept.  A Cholesky
+    fit, plain or pivoted, warns when the relative residual exceeds
+    LIN_TOL, as it does for data outside the Gramian's range; the LU
+    fallback does not.
 
     The blocks are ``_blocks``' and the mapping ``_block_solve``'s: with a
     split, group g is one scalar system K_g B_g = (F T^T)_g and alpha =
@@ -101,13 +108,9 @@ def fit(kernel, X, values, lu_fallback=False):
     scale = max(np.linalg.norm(values), 1e-300)
     residual = float(np.linalg.norm(R) / scale)
     path = _path([p for p, _ in solved])
-    if path == "cholesky" and residual > LIN_TOL:
-        warnings.warn(
-            f"ill-conditioned interpolation system: relative residual "
-            f"{residual:.3e} exceeds {LIN_TOL:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if path != "lu_fallback" and residual > LIN_TOL:
+        warnings.warn(f"ill-conditioned interpolation system: relative residual "
+                      f"{residual:.3e} exceeds {LIN_TOL:.1e}", RuntimeWarning, stacklevel=2)
     return Interpolant(kernel, X, B.reshape(-1), {
         "path": path, "residual": residual, "rank_used": sum(r for _, r in solved),
         "blocks": len(solved)})

@@ -1,12 +1,15 @@
 """Dense symmetric linear algebra with explicit tolerances.
 
-All matrices handled here are real symmetric.  The pseudo-inverse is taken
-through the symmetric eigendecomposition rather than an SVD, so that the
-result is symmetric by spectral reconstruction.  ``_SymFactor`` is the one
+All matrices handled here are real symmetric.  ``_SymFactor`` is the one
 factorization behind interpolation and the power-function; its constructor
-alone picks the route and what happens when Cholesky fails.
-``_NestedCholesky`` factors a Gramian once for all prefixes of its
-centers, skipping the centers whose pivots vanish.
+alone picks the route and what happens when Cholesky fails.  A Gramian
+that need not be positive definite takes a diagonally pivoted Cholesky,
+``_PivotedCholesky``, which skips the unknowns whose Schur pivots vanish
+instead of cutting eigenvalues.  ``_NestedCholesky`` takes the pivots in
+the order of the centers, so that one factor serves every prefix of
+them.  ``pinv_sym``, the eigenvalue-cutoff pseudo-inverse, is left for
+analysis: it goes through the symmetric eigendecomposition rather than an
+SVD, so that the result is symmetric by spectral reconstruction.
 
 The Cholesky factor and its solves call scipy's f2py LAPACK extension,
 ``scipy/linalg/_flapack``, loaded from its file at import.  Importing
@@ -185,18 +188,6 @@ def sym_eig(A):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def _kept(w):
-    """Mask of the eigenvalues with |lambda| > RANK_TOL * max|lambda|."""
-    aw = np.abs(w)
-    return aw > RANK_TOL * max(aw.max(initial=0.0), ZERO_FLOOR)
-
-
-def _pinv_from_eig(w, V, kept):
-    """V diag(1/w) V^T over the eigenvalues marked ``kept``."""
-    inv = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    return symmetrize((V * inv) @ V.T)
-
-
 def pinv_sym(A, rank_tol=RANK_TOL):
     """Moore-Penrose pseudo-inverse of a symmetric matrix.
 
@@ -207,29 +198,30 @@ def pinv_sym(A, rank_tol=RANK_TOL):
         raise ValueError("rank_tol must be positive")
     w, V = sym_eig(A)
     aw = np.abs(w)
-    return _pinv_from_eig(w, V, aw > rank_tol * max(aw.max(initial=0.0), ZERO_FLOOR))
+    kept = aw > rank_tol * max(aw.max(initial=0.0), ZERO_FLOOR)
+    return symmetrize((V * np.divide(1.0, w, out=np.zeros_like(w), where=kept)) @ V.T)
 
 
 def rank_of(A):
     """Numerical rank: count of |lambda_i| above RANK_TOL * max|lambda|."""
-    w, _ = sym_eig(A)
-    return int(np.count_nonzero(_kept(w)))
+    aw = np.abs(sym_eig(A)[0])
+    return int(np.count_nonzero(aw > RANK_TOL * max(aw.max(initial=0.0), ZERO_FLOOR)))
 
 
 class _SymFactor:
     """A symmetric positive semi-definite matrix A, factored once.
 
     The constructor picks the route: Cholesky (``path`` ``"cholesky"``)
-    when ``strictly_pd`` is set, otherwise one eigendecomposition whose
-    eigenvalues above RANK_TOL times the largest give the pseudo-inverse
-    (``"pseudo_inverse"``).  When Cholesky fails, ``on_failure`` decides:
-    ``"raise"`` raises :class:`ConditioningError` with lambda_min, ``"lu"``
-    solves A by LU (``"lu_fallback"``) and ``"eigh"`` warns with lambda_min
-    and takes the eigendecomposition.
+    when ``strictly_pd`` is set, otherwise a diagonally pivoted Cholesky
+    that skips the unknowns whose Schur pivots vanish
+    (``_PivotedCholesky``, path ``"pivoted_cholesky"``).  When Cholesky
+    fails, ``on_failure`` decides: ``"raise"`` raises
+    :class:`ConditioningError` with lambda_min, ``"lu"`` solves A by LU
+    (``"lu_fallback"``) and ``"skip"`` warns with the number of pivots
+    skipped and takes the pivoted factor.
 
-    ``rank`` counts the eigenvalues kept (the order of A on the other
-    routes) and ``lam_min`` is the smallest one; it is None where no
-    eigendecomposition was taken, and both are None for ``from_pinv``.
+    ``rank`` counts the pivots kept (the order of A on the other routes);
+    it is None for ``from_pinv``.
 
     A must be exactly symmetric, and Cholesky overwrites it: A^T is then
     A in Fortran order, so LAPACK factors it in place, writing L over the
@@ -239,7 +231,7 @@ class _SymFactor:
     """
 
     def __init__(self, A, strictly_pd, on_failure):
-        self.rank, self.lam_min = A.shape[0], None
+        self.rank = A.shape[0]
         if strictly_pd:
             diag = A.diagonal().copy()
             try:
@@ -251,39 +243,34 @@ class _SymFactor:
                 if on_failure == "lu":
                     self.path, self._M = "lu_fallback", A
                     return
-                w, V = sym_eig(A)
                 if on_failure == "raise":
-                    raise ConditioningError(
-                        f"Cholesky failed on strictly-pd kernel "
-                        f"(lambda_min estimate {w[-1]:.3e})",
-                        lam_min=float(w[-1]),
-                    ) from None
-                warnings.warn(
-                    f"Cholesky failed on the Gramian of a strictly pd kernel "
-                    f"(lambda_min {w[-1]:.3e}); using the pseudo-inverse",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        else:
-            w, V = sym_eig(A)
-        kept = _kept(w)
-        self.path, self._M = "pseudo_inverse", _pinv_from_eig(w, V, kept)
-        self.rank = int(np.count_nonzero(kept))
-        self.lam_min = float(w[-1]) if w.size else 0.0
+                    lam_min = float(sym_eig(A)[0][-1])
+                    raise ConditioningError(f"Cholesky failed on strictly-pd kernel (lambda_min "
+                                            f"estimate {lam_min:.3e})", lam_min) from None
+        self.path, self._M = "pivoted_cholesky", _PivotedCholesky(A)
+        self.rank = len(self._M.order)
+        if strictly_pd:  # stacklevel 3: the caller of PowerEvaluator.build
+            warnings.warn(f"Cholesky failed on the Gramian of a strictly pd kernel; the pivoted "
+                          f"Cholesky skipped {len(A) - self.rank} of {len(A)} pivots",
+                          RuntimeWarning, stacklevel=3)
 
     @classmethod
     def from_pinv(cls, P):
         """Wrap a pseudo-inverse taken at another cutoff (``pinv_sym``)."""
         self = cls.__new__(cls)
-        self.path, self._M, self.rank, self.lam_min = "pseudo_inverse", P, None, None
+        self.path, self._M, self.rank = "pseudo_inverse", P, None
         return self
 
     def solve(self, B):
-        """A^{-1} B, or A^+ B on the pseudo-inverse route."""
+        """A^{-1} B, zero at the skipped unknowns on the pivoted route, or A^+ B."""
         if self.path == "cholesky":
             return cho_solve(self._M, B)
         if self.path == "lu_fallback":
             return np.linalg.solve(self._M, B)
+        if self.path == "pivoted_cholesky":
+            X = np.zeros(np.shape(B))
+            X[self._M.order] = self._M.back(self._M.forward(B), self.rank)
+            return X
         return self._M @ B
 
     def inner(self, C):
@@ -292,33 +279,83 @@ class _SymFactor:
         ``C`` holds the rows of the cross matrix in the component-major
         order of ``SeparableKernel._blocks``: C[a, x] is the row of
         component a at query x, and k is 1 for a group's scalar block.
-        Returns the (q, k, k) products.  On the Cholesky route this is
+        Returns the (q, k, k) products.  On the Cholesky routes this is
         W_x^T W_x with W = L^{-1} C^T, one triangular solve over the flat
-        (k q, N) array; ``C`` is overwritten.  Not for the LU route, which
-        only ``fit`` takes.
+        (k q, N) array, over the kept unknowns on the pivoted route; the
+        plain route overwrites ``C``.  Not for the LU route, which only
+        ``fit`` takes.
         """
         Cf = C.reshape(-1, C.shape[2])
-        if self.path == "cholesky":
-            # Cf^T is Fortran-ordered, so LAPACK solves it in place; the
-            # result's transpose is C-ordered again.
-            W = solve_triangular(self._M, Cf.T, overwrite_b=True).T
-            W = W.reshape(C.shape)
-            return np.einsum("aqn,bqn->qab", W, W)
-        # One (k q, N) x (N, N) GEMM; a 3-D C would make numpy issue one
-        # small GEMM per block.
-        CP = (Cf @ self._M).reshape(C.shape)
-        return np.einsum("aqn,bqn->qab", CP, C)
+        if self.path == "pseudo_inverse":
+            # One (k q, N) x (N, N) GEMM; a 3-D C would make numpy issue
+            # one small GEMM per block.
+            CP = (Cf @ self._M).reshape(C.shape)
+            return np.einsum("aqn,bqn->qab", CP, C)
+        # Cf^T is Fortran-ordered, so LAPACK solves it in place on the plain
+        # route; the result's transpose is C-ordered again.
+        W = (solve_triangular(self._M, Cf.T, overwrite_b=True) if self.path == "cholesky"
+             else self._M.forward(Cf.T)).T
+        W = W.reshape(C.shape[0], C.shape[1], W.shape[1])
+        return np.einsum("aqn,bqn->qab", W, W)
 
 
-class _NestedCholesky:
+class _PivotedCholesky:
+    """L L^T = A[order][:, order] for a symmetric psd A, skipping vanishing pivots.
+
+    Diagonal pivoting: each step takes the unknown j whose Schur pivot d_j,
+    the power function at j of the unknowns taken before, is largest
+    relative to A_jj.  The factor stops once that ratio is at most n eps,
+    the roundoff of a Schur complement of order n (LAPACK's dpstrf stops
+    at n eps max_j A_jj), and skips the unknowns left; there is no
+    eigenvalue cutoff.  The greedy choice keeps the factored block well
+    conditioned, so that its roundoff stays small.  A stop at roundoff,
+    not at RANK_TOL, drops only directions that the kept unknowns span to
+    roundoff, so that adding centers does not raise the power function,
+    as a coarser cutoff can.  ``order`` lists the unknowns kept, in the
+    order of L's rows; ``forward`` applies L^{-1} and ``back`` solves with
+    a leading block of L^T.
+    """
+
+    def __init__(self, A):
+        A = np.asarray_chkfinite(A)
+        # As in LAPACK's dpstrf: position r takes the r-th pivot's unknown,
+        # perm[r], so the unknowns left stay in the columns r: of Lt, whose
+        # row k is column k of L; d and diag are the Schur pivots and A's
+        # diagonal in the same order.
+        n, diag = len(A), A.diagonal().copy()
+        perm, Lt, d = np.arange(n), np.zeros((n, n)), diag.copy()
+        for r in range(n + 1):
+            rel = np.divide(d[r:], diag[r:], out=np.zeros(n - r), where=diag[r:] > 0)
+            if r == n or rel.max() <= n * np.finfo(float).eps:
+                break
+            j = r + int(np.argmax(rel))
+            for a in (perm, d, diag, Lt[:r].T):
+                a[[r, j]] = a[[j, r]]
+            Lt[r, r:] = (A[perm[r], perm[r:]] - Lt[:r, r] @ Lt[:r, r:]) / np.sqrt(d[r])
+            d[r:] -= Lt[r, r:] ** 2
+        self.order = perm[:r]
+        # the (r, r) lower factor of the kept unknowns, Fortran-ordered
+        self._L = np.asfortranarray(Lt[:r, :r].T)
+
+    def forward(self, B):
+        """L^{-1} B[order] for an (n, k) ``B`` with one row per unknown of A."""
+        return solve_triangular(self._L, np.asfortranarray(B[self.order]), overwrite_b=True)
+
+    def back(self, Z, r):
+        """L_r^{-T} Z[:r], L_r the factor's leading (r, r) block."""
+        return solve_triangular(np.asfortranarray(self._L[:r, :r]), Z[:r], trans=1)
+
+
+class _NestedCholesky(_PivotedCholesky):
     """Cholesky factors of a Gramian on every prefix of its centers, from one factor.
 
     Left-looking, one center j at a time in the order of A's rows: with L
     the factor of the centers kept before j, j's row is l = L^{-1} A[kept, j]
     and its Schur pivot d^2 = A_jj - l^T l, the power function at center j
     of the centers before it.  A center whose pivot is d^2 <= RANK_TOL * A_jj
-    is skipped, with no eigenvalue cutoff; ``kept`` marks the centers taken.  The factor of the kept centers among the
-    first i is then the leading block of L, so one factor serves every
+    is skipped, with no eigenvalue cutoff; ``kept`` marks the centers
+    taken, and ``order`` lists them.  The factor of the kept centers among
+    the first i is then the leading block of L, so one factor serves every
     prefix: ``forward`` applies L^{-1} once, and ``back`` solves with the
     leading block.  Each pivot lowers the power function by the square of
     one Newton basis function, the matching row of ``forward`` on the
@@ -337,17 +374,8 @@ class _NestedCholesky:
             if v[0] > RANK_TOL * A[j, j]:
                 Lt[r, j:] = v / np.sqrt(v[0])
                 kept[j], r = True, r + 1
-        self.kept = kept
-        # the (r, r) lower factor of the kept centers, Fortran-ordered
+        self.kept, self.order = kept, np.flatnonzero(kept)
         self._L = np.asfortranarray(Lt[:r, kept].T)
-
-    def forward(self, B):
-        """L^{-1} B[kept] for an (n, k) ``B`` with one row per center of A."""
-        return solve_triangular(self._L, np.asfortranarray(B[self.kept]), overwrite_b=True)
-
-    def back(self, Z, r):
-        """L_r^{-T} Z[:r], L_r the factor's leading (r, r) block."""
-        return solve_triangular(np.asfortranarray(self._L[:r, :r]), Z[:r], trans=1)
 
 
 def is_psd(A):

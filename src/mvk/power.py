@@ -27,8 +27,10 @@ blocks and back through ``fit``'s routine, ``interpolation._block_solve``,
 so on the same factors it gives ``fit``'s coefficients bit for bit.  For a
 strictly positive definite kernel a Cholesky factor K = L L^T gives
 c^T K^-1 c = w^T w with w = L^{-1} c, with no eigenvalue cutoff.
-Otherwise one eigendecomposition gives the pseudo-inverse; a strictly pd
-kernel whose block fails Cholesky takes it too, with a warning.
+Otherwise a diagonally pivoted Cholesky (``linalg._PivotedCholesky``)
+gives the same over the unknowns it keeps, skipping those whose Schur
+pivots vanish; a strictly pd kernel whose block fails Cholesky takes it
+too, with a warning.
 
 ``PowerEvaluator.nested`` factors each scalar block once over a sequence
 of centers, by a Cholesky that skips the centers whose pivots vanish
@@ -66,8 +68,8 @@ class PowerEvaluator:
     None for the one block Gramian; ``factors`` holds one (J, factor) pair
     per block, J the block's directions as ``interpolation._blocks`` yields
     them: the groups of ``split`` in order, or ``slice(None)`` for the one
-    block Gramian.  ``path`` is ``"cholesky"`` or
-    ``"pseudo_inverse"`` (see ``build``).
+    block Gramian.  ``path`` is ``"cholesky"``, ``"pivoted_cholesky"``
+    or ``"pseudo_inverse"`` (see ``build``).
     """
 
     kernel: SeparableKernel
@@ -81,15 +83,17 @@ class PowerEvaluator:
 
         With ``rank_tol=None`` the route is Cholesky, with no cutoff, when
         the kernel is strictly pd and the block factors, and otherwise the
-        pseudo-inverse at RANK_TOL; a strictly pd kernel whose block does
-        not factor warns with its smallest eigenvalue.  An explicit
-        ``rank_tol`` takes the pseudo-inverse of each block at that cutoff.
+        pivoted Cholesky that skips vanishing pivots
+        (``linalg._PivotedCholesky``); a strictly pd kernel whose block
+        does not factor warns with the number of pivots skipped.  An
+        explicit ``rank_tol`` takes the pseudo-inverse of each block at
+        that cutoff.
         """
         centers.assert_distinct()
         split = _split(kernel)
         factors = []
         for J, A in _blocks(kernel, split, centers):
-            factors.append((J, _SymFactor(A, kernel.strictly_pd, "eigh") if rank_tol is None
+            factors.append((J, _SymFactor(A, kernel.strictly_pd, "skip") if rank_tol is None
                             else _SymFactor.from_pinv(pinv_sym(A, rank_tol))))
             del A
         return cls(kernel, centers, split, tuple(factors))
@@ -136,12 +140,9 @@ class PowerEvaluator:
         for i in range(1, self.centers.n + 1):
             B, p2, skipped = np.zeros((i, m)), np.empty((len(Xq), m)), []
             for g, (J, factor, sq, Z) in enumerate(walks):
-                kept = factor.kept[:i]
-                r = int(np.count_nonzero(kept))
+                r = int(np.count_nonzero(factor.kept[:i]))
                 p2[:, J] = (diag[g] - sq[r - 1] if r else diag[g])[:, None]
-                BJ = np.zeros((i, Z.shape[1]))
-                BJ[kept] = factor.back(Z, r)
-                B[:, J] = BJ
+                B[np.ix_(factor.order[:r], J)] = factor.back(Z, r)
                 skipped.append(i - r)
             info = {"path": self.path, "blocks": len(walks), "skipped": skipped}
             s = Interpolant(self.kernel, self.centers.prefix(i), (B @ T).reshape(-1), info)
@@ -153,14 +154,16 @@ class PowerEvaluator:
 
     @property
     def gram_pinv(self):
-        """G^{-1} (Cholesky route) or G^+ as a dense matrix, for analysis.
+        """G^{-1}, or the generalized inverse ``solve`` applies, as a dense matrix.
 
-        Through a split this is T^T G~^+ T blockwise, G~ the scalar blocks.
+        On the pivoted route it is zero in the rows and columns of the
+        skipped unknowns; ``build(rank_tol=...)`` gives G^+.  Through a
+        split this is T^T G~^{-1} T blockwise, G~ the scalar blocks.
         """
         return self.solve(np.eye(self.centers.n * self.kernel.m))
 
     def solve(self, b):
-        """G^{-1} b on the Cholesky route, G^+ b on the pseudo-inverse route.
+        """G^{-1} b, or the generalized inverse of ``gram_pinv`` applied to b.
 
         ``b`` is stacked like the coefficients, (n m,) or (n m, k).  It is
         solved block by block through ``fit``'s mapping

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,21 +69,21 @@ def test_fit_pseudo_inverse_path():
     # target inside the native space: a kernel translate
     F = np.stack([k(x, np.array([0.5, 0.5]))[:, 0] for x in X.points])
     s = fit(k, X, F)
-    assert s.solver_info["path"] == "pseudo_inverse"
+    assert s.solver_info["path"] == "pivoted_cholesky"
     assert s.solver_info["rank_used"] <= 6
     assert np.allclose(s.evaluate_many(X.points), F, atol=1e-10)
 
 
-def test_pseudo_inverse_fit_takes_one_eigendecomposition(monkeypatch):
-    # alpha and rank_used both come from one eigh of the Gramian, with the
-    # values of pinv_sym and rank_of
+def test_pivoted_cholesky_takes_no_eigendecomposition(monkeypatch):
+    # 7 points span only 5 dimensions of the degree <= 2 polynomials per
+    # component, so 2 x 2 of the 14 unknowns are skipped.  fit and
+    # PowerEvaluator.build factor the Gramian without an eigh; the skipped
+    # unknowns get zero coefficients, and data in the Gramian's range are
+    # still interpolated
     k = polynomial_kernel()
-    X = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    F = np.stack([k(x, np.array([0.5, 0.5]))[:, 0] for x in X.points])
-    # fit orders the unknowns by component: G with its indices permuted
-    G = k.gramian(X).reshape(3, 2, 3, 2).transpose(1, 0, 3, 2).reshape(6, 6)
-    alpha_ref = (linalg.pinv_sym(G) @ F.T.reshape(-1)).reshape(2, 3).T.reshape(-1)
-    rank_ref = linalg.rank_of(G)
+    X = PointSet(np.random.default_rng(4).uniform(-1, 1, (7, 2)))
+    F = np.stack([k(x, np.array([0.5, 0.5])) @ [1.0, -2.0] for x in X.points])
+    assert linalg.rank_of(k.gramian(X)) == 10
 
     calls = []
     sym_eig = linalg.sym_eig
@@ -92,10 +94,30 @@ def test_pseudo_inverse_fit_takes_one_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
     s = fit(k, X, F)
-    assert s.solver_info["path"] == "pseudo_inverse"
-    assert len(calls) == 1
-    assert np.array_equal(s.coeffs, alpha_ref)
-    assert s.solver_info["rank_used"] == rank_ref
+    pe = PowerEvaluator.build(k, X)
+    assert calls == []
+    assert s.solver_info["path"] == pe.path == "pivoted_cholesky"
+    assert s.solver_info["rank_used"] == np.count_nonzero(s.coeffs) == 10
+    assert np.allclose(s.evaluate_many(X.points), F, atol=1e-10)
+
+
+def test_pivoted_fit_warns_on_data_outside_the_gramians_range():
+    # poly(2) I_2 spans 3 functions per component: 9 random values leave the
+    # range of the Gramian, which the pivoted fit reports, while values in
+    # the range fit silently
+    k = SeparableKernel.create([(ScalarKernel.polynomial(2), np.eye(2))])
+    rng = np.random.default_rng(5)
+    X = PointSet(rng.uniform(-1, 1, (9, 2)))
+    with pytest.warns(RuntimeWarning, match="relative residual") as record:
+        s = fit(k, X, rng.standard_normal((9, 2)))
+    assert s.solver_info["path"] == "pivoted_cholesky"
+    assert s.solver_info["rank_used"] == 6
+    assert s.solver_info["residual"] > interpolation.LIN_TOL
+    assert record[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = fit(k, X, np.stack([k(x, np.array([0.5, -0.2]))[:, 1] for x in X.points]))
+    assert s.solver_info["residual"] <= interpolation.LIN_TOL
 
 
 def test_fit_shape_validation():
@@ -107,6 +129,8 @@ def test_fit_shape_validation():
         fit(k, X, np.zeros((2, 3)))
 
 
+# random values leave the polynomial kernel's range, and its fit warns
+@pytest.mark.filterwarnings("ignore:ill-conditioned interpolation system")
 @pytest.mark.parametrize("kernel", [gaussian_kernel, unsplit_kernel, polynomial_kernel])
 def test_fit_and_evaluator_solve_agree_bit_for_bit(kernel):
     # fit and PowerEvaluator.solve map the data into the blocks and back
@@ -118,7 +142,7 @@ def test_fit_and_evaluator_solve_agree_bit_for_bit(kernel):
     s = fit(k, X, F)
     pe = PowerEvaluator.build(k, X)
     expected = {gaussian_kernel: (True, "cholesky"), unsplit_kernel: (False, "cholesky"),
-                polynomial_kernel: (False, "pseudo_inverse")}[kernel]
+                polynomial_kernel: (False, "pivoted_cholesky")}[kernel]
     assert (pe.split is not None, pe.path) == expected
     assert s.solver_info["path"] == pe.path
     assert np.array_equal(s.coeffs, pe.solve(F.reshape(-1)))
@@ -160,9 +184,9 @@ def test_fit_conditioning_error_and_fallback():
     assert s.coeffs.shape == (80,)
 
 
-@pytest.mark.parametrize("route", ["cholesky", "lu_fallback", "pseudo_inverse"])
+@pytest.mark.parametrize("route", ["cholesky", "lu_fallback", "pivoted_cholesky"])
 def test_fit_rejects_non_finite_values(route):
-    if route == "pseudo_inverse":
+    if route == "pivoted_cholesky":
         k, X = polynomial_kernel(), PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         F, bad = np.ones((3, 2)), np.nan
     elif route == "lu_fallback":

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvk import linalg
+from mvk import PointSet, PowerEvaluator, ScalarKernel, SeparableKernel, linalg
 from mvk.linalg import (
     EigenSolverError,
+    _NestedCholesky,
+    _PivotedCholesky,
     _SymFactor,
     check_symmetric,
     is_psd,
@@ -214,6 +216,80 @@ def test_inner_on_the_triangular_route_matches_scipy():
     assert np.array_equal(factor.inner(C.copy()), np.einsum("aqn,bqn->qab", W, W))
     f = rng.standard_normal(n)
     assert np.array_equal(factor.solve(f), scipy.linalg.cho_solve((c, True), f))
+
+
+PIVOTED_FACTORS = [_NestedCholesky, _PivotedCholesky]
+
+
+def _solve(factor, B):
+    """The factor's solve: back(forward(B)) at its kept unknowns, 0 at the others."""
+    X = np.zeros(B.shape)
+    X[factor.order] = factor.back(factor.forward(B), len(factor.order))
+    return X
+
+
+@pytest.mark.parametrize("cls", PIVOTED_FACTORS)
+def test_pivoted_factor_of_a_pd_matrix_keeps_every_pivot(cls):
+    rng = np.random.default_rng(11)
+    A = random_spd(rng, 9)
+    B = rng.standard_normal((9, 3))
+    factor = cls(A)
+    assert sorted(factor.order) == list(range(9))
+    assert np.allclose(_solve(factor, B), scipy.linalg.cho_solve((scipy_factor(A), True), B),
+                       rtol=1e-12, atol=1e-12)
+    if cls is _NestedCholesky:
+        # in the order of A's rows it is the plain Cholesky factor
+        assert factor.kept.all()
+        W = scipy.linalg.solve_triangular(scipy_factor(A), B, lower=True)
+        assert np.allclose(factor.forward(B), W, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cls", PIVOTED_FACTORS)
+def test_pivoted_factor_skips_a_repeated_unknown(cls):
+    # row and column 3 repeat row and column 1: its Schur pivot is 0
+    rng = np.random.default_rng(12)
+    A = random_spd(rng, 5)
+    idx = [0, 1, 2, 1, 3, 4]
+    A = A[np.ix_(idx, idx)]
+    factor = cls(A)
+    assert len(factor.order) == 5 and len({1, 3} & set(factor.order)) == 1
+    if cls is _NestedCholesky:
+        assert factor.kept.tolist() == [True, True, True, False, True, True]
+    # the data repeat too, so the solve interpolates them
+    B = A[:, :2]
+    assert np.allclose(A @ _solve(factor, B), B, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("cls", PIVOTED_FACTORS)
+def test_pivoted_factor_skips_a_component_with_zero_coefficient(cls):
+    # the Gramian of k * diag(1, 0) in component-major order: the second
+    # component's unknowns have zero rows and are all skipped
+    K = random_spd(np.random.default_rng(13), 4)
+    factor = cls(np.kron(np.diag([1.0, 0.0]), K))
+    assert sorted(factor.order) == [0, 1, 2, 3]
+    if cls is _NestedCholesky:
+        assert factor.kept.tolist() == [True] * 4 + [False] * 4
+
+
+@pytest.mark.parametrize("cls", PIVOTED_FACTORS)
+def test_pivoted_factor_of_an_empty_matrix(cls):
+    factor = cls(np.zeros((0, 0)))
+    assert factor.order.shape == (0,)
+    assert _solve(factor, np.zeros((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("centers", [np.zeros((0, 2)), np.zeros((1, 2))])
+def test_pivoted_route_without_pivots(centers):
+    # a polynomial kernel is not strictly pd: its Gramian takes the pivoted
+    # route, which keeps no pivot without centers or with the one center at
+    # the origin, where the kernel vanishes; D is then k(x, x)
+    k = SeparableKernel.create([(ScalarKernel.polynomial(2), np.eye(2))])
+    pe = PowerEvaluator.build(k, PointSet(centers))
+    assert pe.path == "pivoted_cholesky" and pe.factors[0][1].rank == 0
+    b = np.ones(2 * len(centers))
+    assert np.array_equal(pe.solve(b), np.zeros_like(b))
+    Xq = np.array([[0.5, -0.25], [1.0, 2.0]])
+    assert np.array_equal(pe.deficiency_many(Xq), k.diag_value(Xq))
 
 
 def test_lapack_is_loaded_from_scipys_extension_file():

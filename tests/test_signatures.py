@@ -1,12 +1,12 @@
 """Tolerances are module constants, not parameters, the names the
 benchmark looks up in mvk exist, and only ``linalg`` factors or solves.
 
-Only the pseudo-inverse cutoff is a parameter, because its callers need
-different values: acceptance criterion 4 passes 1e-8, while
-``eval --bounds`` and the other callers pass none, so that a strictly pd
-Gramian is factored by Cholesky without a cutoff and any other takes the
-pseudo-inverse at RANK_TOL (1e-10).  example2's nested factors skip
-pivots at RANK_TOL and take no cutoff either.
+Only the pseudo-inverse cutoff is a parameter, because only acceptance
+criterion 4 takes a pseudo-inverse, at 1e-8.  ``eval --bounds`` and the
+other callers pass none, so that a strictly pd Gramian is factored by
+Cholesky without a cutoff and any other by the pivoted Cholesky, which
+stops at roundoff.  example2's nested factors skip pivots at RANK_TOL and
+take no cutoff either.
 """
 
 import ast
