@@ -8,9 +8,11 @@ computed with vectorized numpy.
 The Gaussian is split into ``_sq_dists``, which builds the squared
 distances in one (n, q) array, and ``_gaussian``, which exponentiates
 them, so that the Gaussian terms of a separable kernel share one distance
-matrix per point pair (``SeparableKernel._term_matrices``).  Both can
-write into a caller's buffer, so that ``SeparableKernel.apply`` reuses two
-tile-sized arrays for every row tile of its queries.
+matrix per point pair (``SeparableKernel._term_matrices``); the
+polynomial terms share one matrix of inner products (``_dots``) the same
+way.  Both Gaussian steps can write into a caller's buffer, so that
+``SeparableKernel.apply`` reuses two tile-sized arrays for every row tile
+of its queries, and ``_gaussian`` can take a row panel of the distances.
 
 ``_gaussian`` flushes to zero: every entry whose exponent -eps * d2 lies
 below ``EXP_FLOOR`` is exactly 0, every other one is ``np.exp``'s value
@@ -28,10 +30,12 @@ from every other one.
 
 import numpy as np
 
-# Entries per row panel of ``_gaussian`` and per query tile of
-# ``SeparableKernel.apply`` (and of ``PointSet.min_separation``): 2^16
-# float64 (512 KiB) per array, so a panel and its mask, or a tile's
-# distances and one term's kernel values, stay in a 2 MiB L2.
+# Entries per row panel of ``_gaussian`` and of ``SeparableKernel._blocks``
+# and per query tile of ``SeparableKernel.apply`` (and of
+# ``PointSet.min_separation``): 2^16 float64 (512 KiB) per array, so a
+# panel and its mask, a panel's kernel values and their product with one
+# coefficient, or a tile's distances and one term's kernel values, stay in
+# a 2 MiB L2.
 PANEL = 2**16
 # Smallest exponent ``_gaussian`` evaluates; exp(-700) = 9.86e-305 is
 # normal and inside numpy's fast range (to about -707).
@@ -93,8 +97,13 @@ def gaussian_cross(X, Y, eps):
     return _gaussian(d2, eps, out=d2)
 
 
-def polynomial_cross(X, Y, degree):
-    """Matrix of (x_i . y_j)^degree values."""
+def _dots(X, Y):
+    """Matrix of the inner products x_i . y_j."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    return (X @ Y.T) ** int(degree)
+    return X @ Y.T
+
+
+def polynomial_cross(X, Y, degree):
+    """Matrix of (x_i . y_j)^degree values."""
+    return _dots(X, Y) ** int(degree)

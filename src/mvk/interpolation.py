@@ -27,7 +27,8 @@ import numpy as np
 
 from .decomposition import congruence_split
 from .kernels import PointSet, SeparableKernel, _as_point
-from .linalg import PSD_TOL, ConditioningError, _SymFactor, symmetrize  # noqa: F401  fit raises it
+from .linalg import (PSD_TOL, ConditioningError, _SymFactor,  # noqa: F401  fit raises it
+                     sym_lower_matmul, symmetrize_in_place)
 from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
 
 # Relative residual beyond which a Cholesky fit, plain or pivoted, warns.
@@ -81,6 +82,10 @@ def fit(kernel, X, values, lu_fallback=False):
     The blocks are ``_blocks``' and the mapping ``_block_solve``'s: with a
     split, group g is one scalar system K_g B_g = (F T^T)_g and alpha =
     B T; the residual of the full system is R T^-T, R the block residuals.
+    Each block is factored in place, without a copy: ``_SymFactor`` leaves
+    its strict lower triangle intact, and once the block is solved its
+    saved diagonal is put back, so the block residual A sol - rhs is
+    computed from that triangle by BLAS (``linalg.sym_lower_matmul``).
     Non-finite ``values`` raise ValueError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -97,10 +102,14 @@ def fit(kernel, X, values, lu_fallback=False):
     solved = []  # (path, rank used) of each block
 
     def solve(A, rhs):
-        # the factor overwrites its matrix; the residual needs A
-        factor = _SymFactor(A.copy(), kernel.strictly_pd, "lu" if lu_fallback else "raise")
+        # the factor overwrites A's upper triangle and diagonal; the residual
+        # reads the lower triangle and the diagonal put back after the solve
+        diag = A.diagonal().copy()
+        factor = _SymFactor(A, kernel.strictly_pd, "lu" if lu_fallback else "raise")
         solved.append((factor.path, factor.rank * rhs.shape[1]))
-        return factor.solve(rhs)
+        sol = factor.solve(rhs)
+        np.fill_diagonal(A, diag)
+        return sol
 
     B, R = _block_solve(split, values[:, :, None], _blocks(kernel, split, X), solve,
                         residual=True)
@@ -167,7 +176,8 @@ def _blocks(kernel, split, X, Xq=None):
         del K
         for g in users[i]:
             if done_at[g] == i:
-                yield split.groups[g], symmetrize(acc.pop(g)) if Xq is None else acc.pop(g)
+                yield split.groups[g], (symmetrize_in_place(acc.pop(g)) if Xq is None
+                                        else acc.pop(g))
 
 
 def _block_solve(split, F, blocks, solve, residual=False):
@@ -182,8 +192,9 @@ def _block_solve(split, F, blocks, solve, residual=False):
     (n, k |J|) on a group's scalar block, N = n m the (n m, k)
     component-major stack on the block Gramian.  Solutions are unstacked
     the same way and leave T coordinates by T (alpha = B T).  With
-    ``residual`` (A then a matrix), A sol - rhs is unstacked too and leaves
-    by T^-T.  Returns the (n, m, k) coefficients and residuals, the latter
+    ``residual`` (A then a matrix, of which ``solve`` leaves the lower
+    triangle and the diagonal), A sol - rhs is unstacked too and leaves by
+    T^-T.  Returns the (n, m, k) coefficients and residuals, the latter
     None without ``residual``.
     """
     N = len(F) * (1 if split is not None else F.shape[1])
@@ -195,7 +206,7 @@ def _block_solve(split, F, blocks, solve, residual=False):
         sol = solve(A, rhs)
         B[:, J] = sol.T.reshape(FJ.T.shape).T
         if residual:
-            R[:, J] = (A @ sol - rhs).T.reshape(FJ.T.shape).T
+            R[:, J] = (sym_lower_matmul(A, sol) - rhs).T.reshape(FJ.T.shape).T
         del A  # free this block before the next one is built
     if split is not None:
         B = np.tensordot(B, split.T, (1, 0)).transpose(0, 2, 1)
@@ -271,18 +282,56 @@ def residual_norm_sq(f: NativeSpanFunction, s: Interpolant):
 
 
 def save_model(s: Interpolant, path):
-    """Write an interpolant to a JSON model file (17-digit round-trip)."""
-    doc = {
-        "format": "mvk-model-v1",
-        "kernel": s.kernel.to_dict(),
-        "centers": s.centers.points.tolist(),
-        "input_dim": s.centers.d,
-        "coeffs": s.coeffs.tolist(),
-        "solver_info": dict(s.solver_info),
+    """Write an interpolant to a JSON model file (17-digit round-trip).
+
+    The bytes are those of ``json.dump(doc, fh, indent=1)`` and a newline.
+    json's indenting encoder is pure Python, so the centers and
+    coefficients, nearly all of the file, are written here as it would
+    write them, and the rest goes through ``json.dumps``.
+    """
+    parts = {
+        "format": json.dumps("mvk-model-v1"),
+        "kernel": _json_nested(json.dumps(s.kernel.to_dict(), indent=1)),
+        "centers": _json_array(s.centers.points, 1),
+        "input_dim": json.dumps(s.centers.d),
+        "coeffs": _json_array(s.coeffs, 1),
+        "solver_info": _json_nested(json.dumps(dict(s.solver_info), indent=1)),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n " + ",\n ".join(f"{json.dumps(k)}: {v}" for k, v in parts.items())
+                 + "\n}\n")
+
+
+# json's spellings of the floats that float.__repr__ writes as nan and inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_nested(text):
+    """``json.dumps(..., indent=1)`` output moved one level in (no string holds a newline)."""
+    return text.replace("\n", "\n ")
+
+
+def _json_array(a, depth):
+    """What ``json.dump(..., indent=1)`` writes for ``a.tolist()`` at nesting ``depth``.
+
+    ``a`` is a 1-d or 2-d float array; its floats are written as json
+    writes them, by ``float.__repr__`` or as NaN, Infinity, -Infinity.
+    """
+    items = list(map(float.__repr__, a.ravel().tolist()))
+    if not np.isfinite(a).all():
+        items = [_JSON_NON_FINITE.get(t, t) for t in items]
+    if a.ndim == 2:
+        d = a.shape[1]
+        items = [_json_list(items[i * d:(i + 1) * d], depth + 1) for i in range(len(a))]
+    return _json_list(items, depth)
+
+
+def _json_list(items, depth):
+    """json's indent=1 layout of a list at nesting ``depth``, from its encoded items."""
+    if not items:
+        return "[]"
+    sep = ",\n" + " " * (depth + 1)
+    return "[" + sep[1:] + sep.join(items) + "\n" + " " * depth + "]"
 
 
 def load_model(path) -> Interpolant:

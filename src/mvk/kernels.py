@@ -10,6 +10,10 @@ with scalar kernels ``k_i`` and symmetric m x m coefficient matrices
 per-term scalar matrices ``k_i(X, Y)``: every block matrix comes from one
 assembler (``SeparableKernel._blocks``), which fills the unknowns in
 component-major order, block (a, b) = sum_i Q_i[a, b] k_i(X, Y), in place.
+It computes the squared distances once for the point pair and then the
+kernel values and the block sums in L2-sized row panels, so that the
+block matrix is the only full-size array it writes besides the distances;
+a Gramian's blocks are symmetrized in place, in cache-sized tiles.
 ``gramian`` and ``cross_many`` permute it to the point-major Kronecker
 layout; no solver or norm uses them (they serve ``counterexample``, tests
 and benchmark hooks).  Interpolants are evaluated term by term without the
@@ -18,7 +22,8 @@ kernel values go through two reused L2-sized buffers, so evaluation memory
 does not grow with the number of queries.  All of them, and the
 term-by-term fit, take the per-term matrices from one generator
 (``_term_matrices``), which computes one squared-distance matrix per point
-pair (or per query tile) for all Gaussian terms.
+pair (or per query tile) for all Gaussian terms, and one inner-product
+matrix for all polynomial terms.
 """
 
 from dataclasses import dataclass, field
@@ -243,26 +248,35 @@ class SeparableKernel:
             return self(x, x)
         return sum(ks.diag(x)[:, None, None] * Q for ks, Q in self.terms)
 
-    def _term_matrices(self, Xa, Xb, out=(None, None)):
-        """Yield (k_i(Xa, Xb), Q_i) in term order.
+    def _term_matrices(self, Xa, Xb, out=(None, None), rows=None):
+        """Yield (k_i(Xa, Xb), Q_i) in term order, whole or by row panels.
 
-        The Gaussian terms share one squared-distance matrix, and the last
-        of them is exponentiated into it; polynomial terms are built by
-        their scalar kernel, each a new array.  ``out`` may be a pair of
-        C-contiguous (na, nb) buffers: the distances go into the first and
-        the other Gaussian terms into the second, so a consumer must be
-        done with one matrix before it asks for the next.  By default every
-        matrix is a new array.
+        The Gaussian terms share one squared-distance matrix and the
+        polynomial terms one matrix of inner products, each computed once
+        for the whole (Xa, Xb) pair.  With ``rows``, the terms come panel
+        by panel: rows [i, i + rows) of every term in term order, then the
+        next panel (one empty panel when Xa has no rows).  In each panel the
+        last Gaussian term is exponentiated into the distances' rows, which
+        nothing needs after it; a polynomial term is a new array.  ``out``
+        may be a pair of C-contiguous buffers: the (na, nb) distances go
+        into the first and the other Gaussian terms into the second, of at
+        least a panel's rows, so a consumer must be done with one matrix
+        before it asks for the next.  By default every matrix is a new array.
         """
-        gaussian = [i for i, (ks, _) in enumerate(self.terms) if ks.kind == "gaussian"]
+        kinds = [ks.kind for ks, _ in self.terms]
+        last = max((t for t, kind in enumerate(kinds) if kind == "gaussian"), default=None)
         d2_buf, k_buf = out
-        d2 = backends._sq_dists(Xa, Xb, out=d2_buf) if gaussian else None
-        for i, (ks, Q) in enumerate(self.terms):
-            if i not in gaussian:
-                yield ks.cross(Xa, Xb), Q
-            else:
-                k = d2 if i == gaussian[-1] else k_buf
-                yield backends._gaussian(d2, ks.shape, out=k), Q
+        d2 = None if last is None else backends._sq_dists(Xa, Xb, out=d2_buf)
+        dots = backends._dots(Xa, Xb) if "polynomial" in kinds else None
+        rows = rows or max(1, len(Xa))
+        for i in range(0, max(1, len(Xa)), rows):
+            for t, (ks, Q) in enumerate(self.terms):
+                if ks.kind == "polynomial":
+                    yield dots[i:i + rows] ** int(ks.degree), Q
+                    continue
+                d = d2[i:i + rows]
+                k = d if t == last else (None if k_buf is None else k_buf[:len(d)])
+                yield backends._gaussian(d, ks.shape, out=k), Q
 
     def _blocks(self, Xa, Xb):
         """The block matrix k(Xa, Xb) in component-major order, (m, na, m, nb).
@@ -273,28 +287,33 @@ class SeparableKernel:
         of ``Xa``, with each block symmetrized as 0.5 (S + S^T), which is
         exactly what ``symmetrize`` makes of the point-major Gramian.
 
-        Blocks are filled in place from ``_term_matrices``, summed in term
-        order.  The coefficients are symmetric, so block (b, a) equals block
-        (a, b): only the blocks a >= b are summed, and each is copied once
-        into its mirror.
+        Blocks are filled in place from one ``_term_matrices`` call, summed
+        in term order from zero.  Its distances are computed once for the
+        whole pair, and the terms come in row panels of PANEL entries (one
+        row where nb > PANEL) through two reused panel buffers, one for the
+        kernel values and one for their product with Q_t[a, b], so that
+        each panel of K_t is added to every block while it is in cache and
+        no term's full matrix is formed.  The coefficients are symmetric, so
+        block (b, a) equals block (a, b): only the blocks a >= b are
+        summed, each Gramian block is symmetrized in place
+        (``linalg.symmetrize_in_place``) and each is copied once into its
+        mirror.
         """
         sym = Xb is None
         Xb = Xa if sym else Xb
-        m = self.m
-        G = np.zeros((m, len(Xa), m, len(Xb)))
-        # each Q[a, b] K product goes through one reused (na, nb) buffer
-        buf = np.empty((len(Xa), len(Xb)))
+        m, na, nb = self.m, len(Xa), len(Xb)
+        G = np.zeros((m, na, m, nb))
+        rows = max(1, backends.PANEL // max(1, nb))
+        bufs = np.empty((2, min(rows, na), nb))
         lower = [(a, b) for a in range(m) for b in range(a + 1)]
-        for K, Q in self._term_matrices(Xa, Xb):
+        for t, (K, Q) in enumerate(self._term_matrices(Xa, Xb, (None, bufs[0]), rows)):
+            i, prod = t // self.p * rows, bufs[1, :len(K)]
             for a, b in lower:
-                G[a, :, b] += np.multiply(K, Q[a, b], out=buf)
-            del K  # free this term's matrix before the next one is built
+                G[a, i:i + len(K), b] += np.multiply(K, Q[a, b], out=prod)
         for a, b in lower:
             blk = G[a, :, b]
             if sym:
-                np.copyto(buf, blk.T)
-                blk += buf
-                blk *= 0.5
+                linalg.symmetrize_in_place(blk)
             if a != b:
                 G[b, :, a] = blk
         return G

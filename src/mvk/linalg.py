@@ -12,17 +12,21 @@ analysis: it goes through the symmetric eigendecomposition rather than an
 SVD, so that the result is symmetric by spectral reconstruction.
 
 The Cholesky factor and its solves call scipy's f2py LAPACK extension,
-``scipy/linalg/_flapack``, loaded from its file at import.  Importing
-``scipy.linalg`` for its three wrappers would cost most of the start-up
-of every ``mvk`` command (it pulls in ``numpy.testing``, ``unittest`` and
-``email`` through scipy's array-API layer), and locating the file with
-``find_spec("scipy")`` does not run ``scipy/__init__``.  Where the file
-is missing or does not load, ``scipy.linalg.lapack`` provides the same
-routines.  ``cho_factor``, ``cho_solve`` and ``solve_triangular`` below
-make the checks and LAPACK calls of scipy's wrappers of those names for
-a lower factor and float64 arrays, so their results are bit-identical.
+``scipy/linalg/_flapack``, loaded from its file at import, and
+``sym_lower_matmul`` its BLAS extension, ``scipy/linalg/_fblas``, loaded
+from its file on first use.
+Importing ``scipy.linalg`` for its wrappers would cost most of the
+start-up of every ``mvk`` command (it pulls in ``numpy.testing``,
+``unittest`` and ``email`` through scipy's array-API layer), and locating
+the files with ``find_spec("scipy")`` does not run ``scipy/__init__``.
+Where a file is missing or does not load, ``scipy.linalg.lapack`` or
+``scipy.linalg.blas`` provides the same routines.  ``cho_factor``,
+``cho_solve`` and ``solve_triangular`` below make the checks and LAPACK
+calls of scipy's wrappers of those names for a lower factor and float64
+arrays, so their results are bit-identical.
 """
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -41,30 +45,35 @@ RANK_TOL = 1e-10
 PSD_TOL = 1e-10
 # Absolute floor so that rank(0) == 0 deterministically.
 ZERO_FLOOR = 1e-14
+# Rows and columns of the square tiles of ``symmetrize_in_place``: a tile
+# of float64 is 32 KiB, so the two mirror tiles and the sum stay in L2.
+SYM_TILE = 64
 
 
-def _flapack_path():
-    """Path of scipy's ``linalg/_flapack`` extension, or None."""
+def _extension_path(name):
+    """Path of scipy's ``linalg/<name>`` extension, or None."""
     spec = importlib.util.find_spec("scipy")
     for root in (spec and spec.submodule_search_locations) or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            path = os.path.join(root, "linalg", name + suffix)
             if os.path.isfile(path):
                 return path
     return None
 
 
-def _load_flapack():
-    """scipy's LAPACK module, loaded without importing ``scipy.linalg``.
+def _load_extension(name):
+    """scipy's ``linalg/<name>`` extension, loaded without importing ``scipy.linalg``.
 
-    Loading an extension enters it in ``sys.modules``; the entry is put
-    back as it was, so that no part of ``scipy.linalg`` looks imported.  A
-    later import of it finds the extension cached under the same name and
-    shares its routines.
+    ``name`` is ``"_flapack"`` (LAPACK) or ``"_fblas"`` (BLAS).  Loading an
+    extension enters it in ``sys.modules``; the entry is put back as it
+    was, so that no part of ``scipy.linalg`` looks imported.  A later
+    import of it finds the extension cached under the same name and shares
+    its routines.  Where the file is missing or does not load, the module
+    comes from ``scipy.linalg.lapack`` or ``scipy.linalg.blas``.
     """
-    path = _flapack_path()
+    path = _extension_path(name)
     if path is not None:
-        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        spec = importlib.util.spec_from_file_location("scipy.linalg." + name, path)
         previous = sys.modules.get(spec.name)
         try:
             module = importlib.util.module_from_spec(spec)
@@ -77,15 +86,25 @@ def _load_flapack():
                 sys.modules.pop(spec.name, None)
             else:
                 sys.modules[spec.name] = previous
-    from scipy.linalg import lapack
-
-    return lapack
+    return importlib.import_module({"_flapack": "scipy.linalg.lapack",
+                                    "_fblas": "scipy.linalg.blas"}[name])
 
 
 # Loaded here, not on first use, so that scipy's OpenBLAS and its worker
 # pool start with the import, while ``mvk/__init__`` still holds its
 # OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads only when it loads.
-_lapack = _load_flapack()
+_lapack = _load_extension("_flapack")
+
+
+@functools.cache
+def _blas():
+    """scipy's BLAS extension, loaded on first use.
+
+    Only ``fit``'s residual needs it, and loading it takes about 5 ms, so
+    the commands that do not fit skip it.  It links the OpenBLAS that
+    ``_lapack`` has already started.
+    """
+    return _load_extension("_fblas")
 
 
 def cho_factor(a, overwrite_a=False):
@@ -163,6 +182,40 @@ def symmetrize(A):
     return 0.5 * (A + A.T)
 
 
+def symmetrize_in_place(A):
+    """Overwrite the square float64 array A with (A + A^T) / 2 and return it.
+
+    Bit for bit ``symmetrize(A)``, without its two full-size temporaries.
+    A may be a view with rows of any stride.  It goes in square tiles of
+    SYM_TILE rows: each pair of mirror tiles is summed into one reused
+    tile, halved and written back to both, so the three tiles stay in cache.
+    """
+    t, n = SYM_TILE, len(A)
+    buf = np.empty((min(t, n), min(t, n)))
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
+            s = buf[:len(a), :len(b)]
+            np.add(a, b.T, out=s)
+            s *= 0.5
+            a[...] = s
+            b[...] = s.T
+    return A
+
+
+def sym_lower_matmul(A, B):
+    """A B for a symmetric A given by its lower triangle and an (n, k) B.
+
+    Only the lower triangle and diagonal of the C-ordered (n, n) ``A`` are
+    read, so its strict upper triangle may hold anything, such as the
+    Cholesky factor that ``_SymFactor`` writes there.  A^T is A in Fortran
+    order, whose upper triangle BLAS dsymv (k = 1) or dsymm reads.
+    """
+    if B.shape[1] == 1:
+        return _blas().dsymv(alpha=1.0, a=A.T, x=B[:, 0], lower=0)[:, None]
+    return _blas().dsymm(alpha=1.0, a=A.T, b=B, lower=0)
+
+
 def check_symmetric(A):
     """True if max |A - A^T| <= SYM_TOL * (1 + max |A|)."""
     A = np.asarray(A, dtype=np.float64)
@@ -225,9 +278,13 @@ class _SymFactor:
 
     A must be exactly symmetric, and Cholesky overwrites it: A^T is then
     A in Fortran order, so LAPACK factors it in place, writing L over the
-    upper triangle of A's rows.  A caller that needs A afterwards passes a
-    copy.  A failed Cholesky restores A from its intact lower triangle and
-    the diagonal saved before, so the fallbacks see the original matrix.
+    diagonal and the upper triangle of A's rows.  A failed Cholesky
+    restores A from its intact lower triangle and the diagonal saved
+    before, so the fallbacks see the original matrix; they do not write to
+    A.  On every route the strict lower triangle of A is left as it was, so
+    a caller that needs A afterwards saves its diagonal, puts it back once
+    it is done with the factor and reads A from that triangle
+    (``sym_lower_matmul``), as ``fit`` does for its residual.
     """
 
     def __init__(self, A, strictly_pd, on_failure):

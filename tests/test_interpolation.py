@@ -1,11 +1,17 @@
+import json
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvk import backends, decomposition, interpolation, linalg
 from mvk.interpolation import (
     ConditioningError,
+    Interpolant,
     KernelMismatchError,
     NativeSpanFunction,
     fit,
@@ -203,6 +209,66 @@ def test_fit_rejects_non_finite_values(route):
         fit(k, X, F, lu_fallback=route == "lu_fallback")
 
 
+def coupled_kernel(shapes=(100.0, 200.0, 400.0), seed=16):
+    # three full-rank coupled coefficients A A^T / 3: no split, the block route
+    rng = np.random.default_rng(seed)
+    return SeparableKernel.create(
+        [(ScalarKernel.gaussian(e), (lambda A: A @ A.T / 3.0)(rng.standard_normal((3, 3))))
+         for e in shapes])
+
+
+def residual_problem(route, split):
+    """(kernel, centers, data) whose fit takes ``route``, through a split or not."""
+    rng = np.random.default_rng(17)
+    if route == "pivoted_cholesky":  # a kernel that is not strictly pd never splits
+        X = PointSet(rng.uniform(-1, 1, (6, 2)))
+        return polynomial_kernel(), X, rng.standard_normal((6, 2))
+    X = PointSet(np.linspace(-1, 1, 40 if route == "lu_fallback" else 8)[:, None])
+    if route == "lu_fallback":  # wide Gaussians on 40 close points do not factor
+        k = uncoupled_kernel(shapes=(50.0, 0.05)) if split else coupled_kernel((0.05, 0.1, 0.2))
+    else:
+        k = gaussian_kernel() if split else coupled_kernel((1.0, 2.0, 3.0))
+    return k, X, rng.standard_normal((X.n, k.m))
+
+
+@pytest.mark.parametrize("route, split", [("cholesky", True), ("cholesky", False),
+                                          ("lu_fallback", True), ("lu_fallback", False),
+                                          ("pivoted_cholesky", False)])
+def test_residual_from_the_lower_triangle_matches_the_dense_one(route, split):
+    # fit factors each block in place and reads its residual from the strict
+    # lower triangle and the saved diagonal; the dense residual of the whole
+    # point-major system, on a Gramian fit never touched, agrees to roundoff
+    k, X, F = residual_problem(route, split)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the pivoted data leave the range
+        s = fit(k, X, F, lu_fallback=route == "lu_fallback")
+    assert s.solver_info["path"] == route
+    assert (s.solver_info["blocks"] > 1) == split
+    G, f, x = k.gramian(X), F.reshape(-1), s.coeffs
+    dense = np.linalg.norm(G @ x - f) / np.linalg.norm(f)
+    eps = np.finfo(float).eps
+    tol = len(G) * eps * np.linalg.norm(G, 2) * np.linalg.norm(x) / np.linalg.norm(f)
+    assert abs(s.solver_info["residual"] - dense) <= tol
+
+
+def test_fit_peak_memory_stays_under_one_and_a_half_gramians():
+    # block route, n = 300, m = 3: the (900, 900) Gramian takes 6.48 MB.  It
+    # is assembled from one distance matrix and panel buffers, factored in
+    # place and read again for the residual, with no copy of it
+    k = coupled_kernel()
+    rng = np.random.default_rng(18)
+    X = PointSet(rng.uniform(-1, 1, (300, 2)))
+    F = rng.standard_normal((300, 3))
+    tracemalloc.start()
+    try:
+        s = fit(k, X, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.solver_info["path"] == "cholesky" and s.solver_info["blocks"] == 1
+    assert peak < 1.5 * (3 * 300) ** 2 * 8
+
+
 def test_native_norm_of_single_translate():
     k = gaussian_kernel()
     y = PointSet(np.array([[0.25]]))
@@ -323,6 +389,63 @@ def test_model_roundtrip(tmp_path):
     assert s2.solver_info["path"] == s.solver_info["path"]
     xq = np.array([[0.123]])
     assert np.array_equal(s2.evaluate_many(xq), s.evaluate_many(xq))
+
+
+def _json_dump_model(s, path):
+    """The model file as ``save_model`` wrote it through ``json.dump``."""
+    doc = {
+        "format": "mvk-model-v1",
+        "kernel": s.kernel.to_dict(),
+        "centers": s.centers.points.tolist(),
+        "input_dim": s.centers.d,
+        "coeffs": s.coeffs.tolist(),
+        "solver_info": dict(s.solver_info),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]
+COEFFS = st.one_of(st.sampled_from(SPECIAL_FLOATS + [np.nan, np.inf, -np.inf]), st.floats())
+POINTS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(0, 4), m=st.integers(1, 3), d=st.integers(1, 3),
+       points=st.lists(POINTS, min_size=12, max_size=12),
+       coeffs=st.lists(COEFFS, min_size=12, max_size=12),
+       shape=st.floats(1e-3, 1e3), scales=st.lists(st.floats(0.5, 1e3), min_size=3, max_size=3),
+       residual=COEFFS)
+@example(n=0, m=1, d=1, points=[0.0] * 12, coeffs=[0.0] * 12, shape=1.0, scales=[1.0] * 3,
+         residual=0.0)
+@example(n=4, m=1, d=3, points=SPECIAL_FLOATS + [2.5, -3.0, 7.0], coeffs=[-0.0, 5e-324, 1e308, np.nan] * 3,
+         shape=400.0, scales=[1.0] * 3, residual=4.888e-14)
+@example(n=4, m=3, d=2, points=SPECIAL_FLOATS + [2.5, -3.0, 7.0],
+         coeffs=SPECIAL_FLOATS + [np.nan, np.inf, -np.inf], shape=0.1, scales=[2.0, 3.0, 0.5],
+         residual=np.inf)
+def test_save_model_writes_the_bytes_of_json_dump(n, m, d, points, coeffs, shape, scales, residual):
+    k = SeparableKernel.create([(ScalarKernel.gaussian(shape), np.diag(scales[:m])),
+                                (ScalarKernel.polynomial(2), np.eye(m))])
+    s = Interpolant(k, PointSet(np.reshape(points[:n * d], (n, d)), d=d), np.array(coeffs[:n * m]),
+                    {"path": "cholesky", "residual": residual, "rank_used": n * m, "blocks": 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(s, f"{tmp}/fast.json")
+        _json_dump_model(s, f"{tmp}/reference.json")
+        with open(f"{tmp}/fast.json", "rb") as fast, open(f"{tmp}/reference.json", "rb") as ref:
+            assert fast.read() == ref.read()
+
+
+def test_save_model_spells_non_finite_coefficients_as_json_does(tmp_path):
+    # float.__repr__ gives nan and inf; json writes NaN and Infinity
+    k = gaussian_kernel()
+    s = Interpolant(k, PointSet(np.array([[0.0], [1.0]])),
+                    np.array([np.nan, np.inf, -np.inf, -0.0]), {"path": "lu_fallback"})
+    save_model(s, tmp_path / "model.json")
+    text = (tmp_path / "model.json").read_text()
+    assert "\n  NaN,\n  Infinity,\n  -Infinity,\n  -0.0\n ]" in text
+    assert not {"nan", "inf", "-inf"} & {line.strip(" ,") for line in text.splitlines()}
+    assert np.array_equal(load_model(tmp_path / "model.json").coeffs, s.coeffs, equal_nan=True)
 
 
 def test_load_model_rejects_other_files(tmp_path):

@@ -252,6 +252,83 @@ def test_shared_distances_match_per_term_cross():
     assert np.array_equal(k.apply(Xq, X, A), apply_ref)
 
 
+def _blocks_reference(k, Xa, Xb):
+    """The assembler before row panels: each term's whole matrix from its own
+    scalar kernel, added to every block a >= b from zero in term order, each
+    Gramian block symmetrized, then copied into its mirror."""
+    sym = Xb is None
+    Xb = Xa if sym else Xb
+    G = np.zeros((k.m, len(Xa), k.m, len(Xb)))
+    lower = [(a, b) for a in range(k.m) for b in range(a + 1)]
+    for ks, Q in k.terms:
+        K = ks.cross(Xa, Xb)
+        for a, b in lower:
+            G[a, :, b] += K * Q[a, b]
+    for a, b in lower:
+        if sym:
+            G[a, :, b] = linalg.symmetrize(G[a, :, b])
+        G[b, :, a] = G[a, :, b]
+    return G
+
+
+def signed_zero_kernels():
+    # every term has negative off-diagonal coefficients, and at points far
+    # apart whose inner product is 0 every term's kernel value is 0: the
+    # Gaussians flush below exp(-700) at shapes 400 and 900, the
+    # polynomial is 0.  Summed from +0 such an entry is +0; the first
+    # product written alone would leave -0
+    Q1 = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    Q2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    gauss = SeparableKernel.create(
+        [(ScalarKernel.gaussian(400.0), Q1), (ScalarKernel.gaussian(900.0), Q2)])
+    mixed = SeparableKernel.create(
+        [(ScalarKernel.gaussian(400.0), Q1), (ScalarKernel.polynomial(3), Q2),
+         (ScalarKernel.gaussian(900.0), Q1)])
+    return {"gaussian": gauss, "mixed": mixed}
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "mixed"])
+@pytest.mark.parametrize("panel", [backends.PANEL, 32, 5])
+@pytest.mark.parametrize("shape", [(10, None), (10, 7), (0, 7), (10, 0), (0, None)])
+def test_blocks_match_the_term_by_term_sum_bit_for_bit(monkeypatch, kernel, panel, shape):
+    # row panels of PANEL // nb rows: with nb = 10 or 7 a PANEL of 32 gives
+    # 3 or 4 rows, which do not divide na = 10, and a PANEL of 5 < nb one
+    # row; also no rows, no columns and the Gramian of no points
+    k = signed_zero_kernels()[kernel]
+    rng = np.random.default_rng(14)
+    na, nb = shape
+    Xa = np.vstack([[0.0, 0.0], [-1.0, 0.0], [0.0, 1.0], rng.uniform(-1, 1, (7, 2))])[:na]
+    Xb = None if nb is None else np.vstack([[0.0, 1.0], [1.0, 1.0], rng.uniform(-1, 1, (5, 2))])[:nb]
+    if na and nb != 0:
+        # the inputs have entries where every term is 0 under a negative coefficient
+        all_zero = np.all([ks.cross(Xa, Xa if Xb is None else Xb) == 0.0 for ks, _ in k.terms], 0)
+        assert all_zero.any() and all(Q[1, 0] < 0 for _, Q in k.terms)
+    ref = _blocks_reference(k, Xa, Xb)
+    monkeypatch.setattr(backends, "PANEL", panel)
+    G = k._blocks(Xa, Xb)
+    # equal bit patterns: the same values and signbits, -0.0 included
+    assert G.shape == ref.shape
+    assert np.array_equal(G.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(np.signbit(G), np.signbit(ref))
+
+
+def test_symmetrize_in_place_matches_symmetrize(monkeypatch):
+    rng = np.random.default_rng(15)
+    for tile in (linalg.SYM_TILE, 3):
+        monkeypatch.setattr(linalg, "SYM_TILE", tile)
+        for n in (0, 1, 7, 10):
+            A = rng.standard_normal((n, n))
+            A[0:1, 1:2] = -0.0
+            ref = linalg.symmetrize(A)
+            assert linalg.symmetrize_in_place(A) is A
+            assert np.array_equal(A.view(np.uint64), ref.view(np.uint64))
+        # a view with strided rows, as a block of the component-major Gramian
+        G = rng.standard_normal((2, 10, 2, 10))
+        ref = linalg.symmetrize(G[1, :, 0])
+        linalg.symmetrize_in_place(G[1, :, 0])
+        assert np.array_equal(G[1, :, 0], ref)
+
+
 def test_apply_without_queries_or_centers():
     k = mixed_kernel()
     X = PointSet(np.random.default_rng(13).uniform(-1, 1, (9, 2)))

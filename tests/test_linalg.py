@@ -293,28 +293,45 @@ def test_pivoted_route_without_pivots(centers):
 
 
 def test_lapack_is_loaded_from_scipys_extension_file():
-    path = linalg._flapack_path()
-    assert path is not None and Path(path).name.startswith("_flapack")
-    assert linalg._lapack.__file__ == path
-    # loading again shares the routines and leaves scipy's module entry as it was
-    before = sys.modules.get("scipy.linalg._flapack")
-    assert before is not None
-    assert linalg._load_flapack().dpotrf is linalg._lapack.dpotrf
-    assert sys.modules.get("scipy.linalg._flapack") is before
+    # LAPACK and BLAS alike
+    for name, module, routine in (("_flapack", linalg._lapack, "dpotrf"),
+                                  ("_fblas", linalg._blas(), "dsymm")):
+        path = linalg._extension_path(name)
+        assert path is not None and Path(path).name.startswith(name + ".")
+        assert module.__file__ == path
+        # loading again shares the routines and leaves scipy's module entry as it was
+        before = sys.modules.get("scipy.linalg." + name)
+        assert before is not None
+        assert getattr(linalg._load_extension(name), routine) is getattr(module, routine)
+        assert sys.modules.get("scipy.linalg." + name) is before
+
+
+def test_sym_lower_matmul_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(11)
+    A = random_spd(rng, 9)
+    M = A.copy()
+    M[np.triu_indices(9, 1)] = np.nan  # what a factor would write there
+    for k in (1, 3):
+        B = rng.standard_normal((9, k))
+        assert np.allclose(linalg.sym_lower_matmul(M, B), A @ B, rtol=1e-13, atol=0)
 
 
 def test_fallback_module_gives_the_same_results(monkeypatch):
-    monkeypatch.setattr(linalg, "_flapack_path", lambda: None)
-    fallback = linalg._load_flapack()
+    monkeypatch.setattr(linalg, "_extension_path", lambda name: None)
+    fallback, blas = linalg._load_extension("_flapack"), linalg._load_extension("_fblas")
     assert fallback is scipy.linalg.lapack
+    assert blas is scipy.linalg.blas
     rng = np.random.default_rng(10)
     A = random_spd(rng, 8)
     b = rng.standard_normal((8, 2))
     direct = (linalg.cho_factor(A.T), linalg.cho_solve(scipy_factor(A.T), b),
-              linalg.solve_triangular(scipy_factor(A.T), b))
+              linalg.solve_triangular(scipy_factor(A.T), b),
+              linalg.sym_lower_matmul(A, b), linalg.sym_lower_matmul(A, b[:, :1]))
     monkeypatch.setattr(linalg, "_lapack", fallback)
+    monkeypatch.setattr(linalg, "_blas", lambda: blas)
     via_fallback = (linalg.cho_factor(A.T), linalg.cho_solve(scipy_factor(A.T), b),
-                    linalg.solve_triangular(scipy_factor(A.T), b))
+                    linalg.solve_triangular(scipy_factor(A.T), b),
+                    linalg.sym_lower_matmul(A, b), linalg.sym_lower_matmul(A, b[:, :1]))
     assert all(map(np.array_equal, direct, via_fallback))
 
 
@@ -324,13 +341,34 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# In a fresh interpreter: the scipy.linalg modules imported by
+# ``import mvk.cli`` and then by a fit, which loads scipy's BLAS for its
+# residual, and the files LAPACK and BLAS came from.
+STARTUP_PROBE = """
+import json, sys
+import numpy as np
+import mvk.cli
+from mvk import PointSet, ScalarKernel, SeparableKernel, fit, linalg
+def scipy_linalg():
+    return sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+at_import = scipy_linalg()
+k = SeparableKernel.create([(ScalarKernel.gaussian(1.0), np.eye(2))])
+fit(k, PointSet(np.linspace(-1, 1, 5)[:, None]), np.ones((5, 2)))
+print(json.dumps([at_import, scipy_linalg(), [linalg._lapack.__file__, linalg._blas().__file__],
+                  [linalg._extension_path("_flapack"), linalg._extension_path("_fblas")]]))
+"""
+
+
 def test_importing_the_cli_does_not_import_scipy_linalg():
+    # mvk loads scipy's LAPACK and BLAS from their files, and neither that
+    # nor anything else in the CLI or in fit imports scipy.linalg, whose
+    # import would dominate every command's start-up
     env = _src_env()
-    code = ("import sys, mvk.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy.linalg' or m.startswith('scipy.linalg.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    at_import, after_fit, loaded, files = json.loads(out)
+    assert at_import == after_fit == []
+    assert loaded == files and None not in files
 
 
 # Records OPENBLAS_THREAD_TIMEOUT at the first import of numpy, then imports
