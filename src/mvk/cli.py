@@ -27,10 +27,11 @@ from . import __version__, builtin
 from .interpolation import (
     ConditioningError,
     NativeSpanFunction,
+    _blocks,
+    _residual_form,
     fit,
     load_model,
     native_norm_sq,
-    residual_norm_sq,
     save_model,
 )
 from .decomposition import NotCommutingError, analyze, commuting_family_check, recover_uncoupled
@@ -218,10 +219,13 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
     splits by congruence into three scalar kernels, and each of their
     Gramians on all the centers is factored once, in center order, by a
     Cholesky that skips the centers whose pivots vanish
-    (``PowerEvaluator.nested``).  Each prefix reads its interpolant and
-    deficiency matrices from the leading blocks of those factors;
+    (``PowerEvaluator.nested``).  Each prefix reads its interpolant, its
+    predictions at the test points and its deficiency matrices from the
+    walk over those factors, with no evaluation of the interpolant;
     ``solver_info`` records the path, the number of blocks and the centers
-    each block skipped among the prefix.
+    each block skipped among the prefix.  The scalar blocks on the sites
+    followed by all the centers are built once, and each prefix's
+    ||f - s||^2 is the quadratic form on their leading rows.
     """
     kernel = builtin.example2_kernel()
     lo, hi = builtin.EXAMPLE2_DOMAIN
@@ -240,12 +244,15 @@ def example2_run(seed=42, n_centers=100, include_sites=False):
     f_norm = float(np.sqrt(native_norm_sq(f)))
 
     pe = PowerEvaluator.nested(kernel, centers)
+    Z = PointSet(np.vstack([sites.points, centers.points]))
+    blocks = list(_blocks(kernel, pe.split, Z))
     records = []
-    for i, (s, _, D) in enumerate(pe.prefixes(f.evaluate_many(centers.points), T), 1):
-        r_norm = float(np.sqrt(residual_norm_sq(f, s)))
+    for i, (s, pred, _, D) in enumerate(pe.prefixes(f.evaluate_many(centers.points), T), 1):
+        r_norm = float(np.sqrt(_residual_form(pe.split, blocks, Z.n, weights,
+                                              s.coeff_blocks())))
         r_norm = min(r_norm, f_norm)
 
-        E = fT - s.evaluate_many(T)
+        E = fT - pred
         err2 = np.linalg.norm(E, axis=1)
         errinf = np.max(np.abs(E), axis=1)
         err1 = np.sum(np.abs(E), axis=1)

@@ -14,7 +14,9 @@ Any other kernel gives the block Gramian as its one block, assembled in
 place by ``SeparableKernel._blocks`` with the unknowns ordered by
 component.
 ``_blocks`` builds the blocks for ``fit``, ``PowerEvaluator`` and both
-native norms (one quadratic form, ``_quad_form``).  Data enter and leave
+native norms (one quadratic form, ``_leading_form``, which reads the
+leading rows of blocks built once for a sequence of centers, as
+``mvk example2`` does for its prefixes).  Data enter and leave
 them through ``_block_solve``, F T^T in and B T out, so ``coeffs`` stays
 point-major; ``fit`` and ``PowerEvaluator.solve`` agree bit for bit.
 """
@@ -232,25 +234,40 @@ class NativeSpanFunction:
 def _quad_form(kernel, Z, Gamma, lead=None):
     """||g||^2 for g = sum_j k(., z_j) gamma_j, row j of Gamma (N, m), and a scale.
 
-    Over ``_blocks(kernel, _split(kernel), Z)``; Z may repeat points.  A
-    split takes Gamma to T coordinates, B = Gamma T^-1, and the form is
-    sum_g tr(B_J^T K_g B_J) as Q_i = T^-1 diag(lam_i) T^-T; without one,
-    Gamma's columns are stacked as in ``_block_solve``.  The scale is the
-    form of the first ``lead`` rows alone, or with ``lead`` None |B|^T |A| |B|.
+    ``_leading_form`` over the blocks ``_blocks(kernel, _split(kernel), Z)``
+    of all N points of Z, which may repeat points.
     """
-    if Z.n == 0:
-        return 0.0, 0.0
     split = _split(kernel)
+    return _leading_form(split, _blocks(kernel, split, Z), Z.n, Gamma, lead)
+
+
+def _leading_form(split, blocks, n, Gamma, lead=None):
+    """||g||^2 for g = sum_{j <= N} k(., z_j) gamma_j, N = len(Gamma), and a scale.
+
+    ``blocks`` yields the (J, A) of ``_blocks`` on n >= N points
+    z_1, ..., z_n, and the form reads the rows and columns of the first N
+    points of each block.  A split takes Gamma to T coordinates,
+    B = Gamma T^-1, and the form is sum_g tr(B_J^T K_g B_J) as
+    Q_i = T^-1 diag(lam_i) T^-T; without one, Gamma's columns are stacked
+    as in ``_block_solve``.  The scale is the form of the first ``lead``
+    rows alone, or with ``lead`` None |B|^T |A| |B|.
+    """
+    N = len(Gamma)
+    if N == 0:
+        return 0.0, 0.0
     B = Gamma if split is None else Gamma @ split.T_inv
     val = scale = 0.0
-    for J, A in _blocks(kernel, split, Z):
+    for J, A in blocks:
+        if N < n:  # the first N points, in every component
+            rows = slice(N) if len(A) == n else np.arange(len(A)) % n < N
+            A = A[rows][:, rows]
         b = B[:, J].T.reshape(-1, len(A)).T
         val += float(np.vdot(b, A @ b))
         if lead is None:
             b = np.abs(b)
             scale += float(np.vdot(b, np.abs(A) @ b))
-        else:  # rows and columns of the first ``lead`` points, in every component
-            keep = np.arange(len(A)) % Z.n < lead
+        else:
+            keep = np.arange(len(A)) % N < lead
             scale += float(np.vdot(b[keep], A[np.ix_(keep, keep)] @ b[keep]))
     return val, scale
 
@@ -266,16 +283,31 @@ def native_norm_sq(f: NativeSpanFunction):
 def residual_norm_sq(f: NativeSpanFunction, s: Interpolant):
     """Squared native norm of f - s for s the interpolant of f on X.
 
-    It equals ||f||^2 - ||s||^2 but is the ``_quad_form`` of f - s on sites
-    and centers, which stays nonnegative under roundoff.  It is clamped at
-    0 and raises below -RESIDUAL_TOL max(1, ||f||^2), ||f||^2 read from the
-    sites' leading sub-block of the same blocks.
+    It equals ||f||^2 - ||s||^2 but is the quadratic form of f - s on sites
+    and centers, which stays nonnegative under roundoff; see
+    ``_residual_form``.
     """
     if f.kernel.to_dict() != s.kernel.to_dict():
         raise KernelMismatchError("function and interpolant use different kernels")
     Z = PointSet(np.vstack([f.sites.points, s.centers.points]))
-    Gamma = np.vstack([np.reshape(f.weights, (f.sites.n, f.kernel.m)), -s.coeff_blocks()])
-    val, scale = _quad_form(f.kernel, Z, Gamma, lead=f.sites.n)
+    split = _split(f.kernel)
+    return _residual_form(split, _blocks(f.kernel, split, Z), Z.n,
+                          np.reshape(f.weights, (f.sites.n, f.kernel.m)), s.coeff_blocks())
+
+
+def _residual_form(split, blocks, n, weights, coeffs):
+    """||f - s||^2 from the blocks of ``_blocks`` on the sites of f, then s's centers.
+
+    ``weights`` are f's (k, m) weights at its k sites and ``coeffs`` the
+    (i, m) coefficients of s at the first i of the n - k centers that
+    follow the sites, so the blocks of a longer sequence of centers serve
+    every prefix of it (``mvk example2``).  The ``_leading_form`` of
+    [weights; -coeffs] is clamped at 0; it raises below
+    -RESIDUAL_TOL max(1, ||f||^2), ||f||^2 read from the sites' leading
+    sub-block of the same blocks.
+    """
+    val, scale = _leading_form(split, blocks, n, np.vstack([weights, -coeffs]),
+                               lead=len(weights))
     if val < -RESIDUAL_TOL * max(1.0, scale):
         raise RuntimeError(f"residual norm squared is negative ({val:.3e})")
     return max(val, 0.0)

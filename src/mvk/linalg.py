@@ -23,7 +23,9 @@ Where a file is missing or does not load, ``scipy.linalg.lapack`` or
 ``scipy.linalg.blas`` provides the same routines.  ``cho_factor``,
 ``cho_solve`` and ``solve_triangular`` below make the checks and LAPACK
 calls of scipy's wrappers of those names for a lower factor and float64
-arrays, so their results are bit-identical.
+arrays, so their results are bit-identical; the solves skip the
+finiteness scan of the factor, which is always one made here from a
+checked matrix.
 """
 
 import functools
@@ -129,8 +131,13 @@ def cho_factor(a, overwrite_a=False):
 
 
 def cho_solve(c, b):
-    """A^{-1} b from the lower factor ``c`` of A, as ``scipy.linalg.cho_solve``."""
-    b1, c = np.asarray_chkfinite(b), np.asarray_chkfinite(c)
+    """A^{-1} b from the lower factor ``c`` of A, as ``scipy.linalg.cho_solve``.
+
+    ``c`` must be a factor made here (``cho_factor``), from a matrix that
+    was checked to be finite then, so only ``b`` is checked; a non-finite
+    ``b`` raises ValueError, as scipy's does.
+    """
+    b1 = np.asarray_chkfinite(b)
     if c.shape[1] != b1.shape[0]:
         raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
     if b1.size == 0:
@@ -145,9 +152,13 @@ def solve_triangular(a, b, overwrite_b=False, trans=0):
     """L^{-1} b, or L^{-T} b with ``trans=1``, for the Fortran-ordered lower triangle L of ``a``.
 
     As ``scipy.linalg.solve_triangular(a, b, trans, lower=True)``, which
-    passes a Fortran-ordered ``a`` to LAPACK unchanged.
+    passes a Fortran-ordered ``a`` to LAPACK unchanged.  ``a`` must be a
+    factor made here (``cho_factor``, ``_PivotedCholesky``,
+    ``_NestedCholesky``), from a matrix that was checked to be finite
+    then, so only ``b`` is checked; a non-finite ``b`` raises ValueError,
+    as scipy's does.
     """
-    a1, b1 = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
+    a1, b1 = np.asarray(a), np.asarray_chkfinite(b)
     if not a1.flags.f_contiguous:
         raise ValueError("the triangular factor must be Fortran-ordered")
     if a1.shape[0] != b1.shape[0]:

@@ -35,9 +35,11 @@ too, with a warning.
 ``PowerEvaluator.nested`` factors each scalar block once over a sequence
 of centers, by a Cholesky that skips the centers whose pivots vanish
 (``linalg._NestedCholesky``), and ``prefixes`` walks the nested prefixes
-X_1, ..., X_n from it: each prefix reads the leading block of the factor,
-and P_g^2 falls by the square of one Newton basis function per kept center
-(Mueller and Schaback 2009).  ``mvk example2`` takes this route.
+X_1, ..., X_n from it: each kept center adds one Newton basis function
+(Mueller and Schaback 2009), so P_g^2 falls by its square and the
+interpolant's predictions gain its multiple, and each prefix's
+coefficients come from the leading block of the factor.  ``mvk example2``
+takes this route and evaluates no interpolant.
 
 ``PowerEvaluator.deficiency_many`` is the one routine that computes D(x)
 from a set of centers, and ``prefixes`` assembles each prefix's D from its
@@ -118,15 +120,18 @@ class PowerEvaluator:
         """Walk the prefixes X_1, ..., X_n of a ``nested`` evaluator's centers.
 
         ``values`` is the (n, m) data at the centers.  Yields, for each i,
-        the interpolant of ``values[:i]`` on X_i, the (q, m) squared scalar
-        power functions P_g^2 at ``Xq`` in the directions of each group g
-        and the (q, m, m) deficiency matrices.  Group g interpolates on its
-        centers kept among X_i, and the interpolant's ``solver_info`` counts
-        the centers each block skipped.  One triangular solve per group gives
-        the Newton basis W = L^{-1} K_g(X, Xq)^T, and
-        P_g^2 = k_g(x, x) - sum_k W_k(x)^2 over the kept centers of X_i.
-        The data take one forward solve per group, and each prefix a
-        back-substitution on its leading block.
+        the interpolant s of ``values[:i]`` on X_i, its (q, m) predictions
+        s(Xq), the (q, m) squared scalar power functions P_g^2 at ``Xq`` in
+        the directions of each group g and the (q, m, m) deficiency
+        matrices.  Group g interpolates on its centers kept among X_i, and
+        the interpolant's ``solver_info`` counts the centers each block
+        skipped.  One triangular solve per group gives the Newton basis
+        W = L^{-1} K_g(X, Xq)^T and one the data's Newton coefficients
+        Z = L^{-1} (F T^T)_J.  Over the kept centers k of X_i,
+        P_g^2 = k_g(x, x) - sum_k W_k(x)^2 and the predictions in T
+        coordinates are the running sum sum_k W_k(x) Z_k^T, which leave by
+        T^-T; s's coefficients take a back-substitution on the leading
+        block of each factor.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
         T, m = self.split.T, self.kernel.m
@@ -136,17 +141,20 @@ class PowerEvaluator:
         for (J, factor), (_, C) in zip(self.factors, _blocks(self.kernel, self.split,
                                                              self.centers, Xq)):
             W = factor.forward(C.T)
-            walks.append((J, factor, np.cumsum(W * W, axis=0), factor.forward(F[:, J])))
+            walks.append((J, factor, W, np.cumsum(W * W, axis=0), factor.forward(F[:, J])))
+        pred = np.zeros((len(Xq), m))  # the running predictions in T coordinates
         for i in range(1, self.centers.n + 1):
             B, p2, skipped = np.zeros((i, m)), np.empty((len(Xq), m)), []
-            for g, (J, factor, sq, Z) in enumerate(walks):
+            for g, (J, factor, W, sq, Z) in enumerate(walks):
                 r = int(np.count_nonzero(factor.kept[:i]))
+                if factor.kept[i - 1]:
+                    pred[:, J] += W[r - 1][:, None] * Z[r - 1]
                 p2[:, J] = (diag[g] - sq[r - 1] if r else diag[g])[:, None]
                 B[np.ix_(factor.order[:r], J)] = factor.back(Z, r)
                 skipped.append(i - r)
             info = {"path": self.path, "blocks": len(walks), "skipped": skipped}
             s = Interpolant(self.kernel, self.centers.prefix(i), (B @ T).reshape(-1), info)
-            yield s, p2, self._from_powers(p2)
+            yield s, pred @ self.split.T_inv.T, p2, self._from_powers(p2)
 
     @property
     def path(self):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvk import builtin
+from mvk import PointSet, PowerEvaluator, builtin, cli, interpolation
 from mvk.backends import EXP_FLOOR
 from mvk.cli import CHUNK, _write_csv, counterexample_report, example2_run, main
 from mvk.decomposition import congruence_split
-from mvk.interpolation import LIN_TOL
+from mvk.interpolation import LIN_TOL, residual_norm_sq
 
 # A coupled kernel that does not split (three full-rank coefficients whose
 # whitened forms do not commute) with 40 training and 12 query points in
@@ -157,6 +157,39 @@ def test_example2_with_the_sites_among_the_centers(seed):
             assert np.all(d1 <= d2), (rec["i"], norm)
     # with all sites among the centers f - s is a small fraction of f
     assert recs[-1]["residual_norm"] <= 1e-3 * recs[-1]["f_norm"]
+
+
+@pytest.mark.parametrize("include_sites", [False, True])
+def test_example2_residuals_match_residual_norm_sq(monkeypatch, include_sites):
+    # example2 takes every prefix's ||f - s||^2 from the leading rows of one
+    # assembly on the sites and all the centers; residual_norm_sq assembles
+    # the prefix's own sites and centers, whose Gramian entries round
+    # differently.  The two agree within N eps |B|^T |A| |B|, the roundoff of
+    # a form of N points (seeds 0, 4, 8, 9, 26, 27 and 42 stay below 0.04 of
+    # it).  With the sites among the centers the points repeat.
+    seen = {"s": []}
+    prefixes, native = PowerEvaluator.prefixes, cli.native_norm_sq
+
+    def recording_prefixes(self, values, Xq):
+        for item in prefixes(self, values, Xq):
+            seen["s"].append(item[0])
+            yield item
+
+    def recording_native(f):
+        seen["f"] = f
+        return native(f)
+
+    monkeypatch.setattr(PowerEvaluator, "prefixes", recording_prefixes)
+    monkeypatch.setattr(cli, "native_norm_sq", recording_native)
+    recs = example2_run(seed=42, include_sites=include_sites)
+    f, eps = seen["f"], np.finfo(float).eps
+    assert len(seen["s"]) == len(recs) == 100
+    for rec, s in zip(recs, seen["s"]):
+        ref = min(residual_norm_sq(f, s), rec["f_norm"] ** 2)
+        Z = PointSet(np.vstack([f.sites.points, s.centers.points]))
+        _, abs_form = interpolation._quad_form(f.kernel, Z,
+                                               np.vstack([f.weights, -s.coeff_blocks()]))
+        assert abs(rec["residual_norm"] ** 2 - ref) <= Z.n * eps * abs_form, rec["i"]
 
 
 def _csv_writer_reference(path, header, names, rows):

@@ -189,6 +189,7 @@ def test_non_finite_input_raises_before_lapack(monkeypatch, bad):
     B[1, 1] = bad
     Abad = A.copy()
     Abad[0, 2] = bad
+    factor, nested = _SymFactor(A.copy(), True, "raise"), _NestedCholesky(A)
     monkeypatch.setattr(linalg, "_lapack", _NoLapack())
     cases = [
         (lambda: linalg.cho_factor(Abad), lambda: scipy.linalg.cho_factor(Abad, lower=True)),
@@ -202,6 +203,17 @@ def test_non_finite_input_raises_before_lapack(monkeypatch, bad):
         with pytest.raises(ValueError) as ref:
             theirs()
         assert str(mine.value) == str(ref.value)
+    # only the right-hand side is scanned (a factor made here was checked
+    # as the matrix it came from), and it still raises on every solve route
+    b = np.ones(3)
+    b[2] = bad
+    for solve in (lambda: linalg.cho_solve(c, b),
+                  lambda: linalg.solve_triangular(c, b, trans=1),
+                  lambda: factor.solve(B),
+                  lambda: nested.forward(B),
+                  lambda: nested.back(B, 3)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve()
 
 
 def test_inner_on_the_triangular_route_matches_scipy():

@@ -347,9 +347,12 @@ def test_nested_prefixes_match_builds_on_the_kept_centers():
     FT = F @ split.T.T
     # the walk's coefficients leave T coordinates and the test maps them back
     trip = NESTED_C * eps * np.linalg.cond(split.T)
-    for s, p2, _ in pe.prefixes(F, Xq):
+    for s, pred, p2, _ in pe.prefixes(F, Xq):
         i = s.centers.n
         B = s.coeff_blocks() @ split.T_inv  # the coefficients in T coordinates
+        # the walk's predictions against the interpolant's, in T coordinates
+        pred_err = np.abs(pred - s.evaluate_many(Xq)) @ np.abs(split.T.T)
+        pred_trip = trip * np.linalg.norm(pred, axis=1)
         full = None
         if i <= first_skip:
             full = PowerEvaluator.build(kernel, X.prefix(i))
@@ -369,6 +372,13 @@ def test_nested_prefixes_match_builds_on_the_kept_centers():
             cases = [(ref.deficiency_many(Xq)[:, :, 0], c_ref)]
             if full is not None:
                 cases.append((full_p2[:, J], full_B[:, J]))
+            # s(x) = k(x, X) c: the coefficients' error K^-1 E c moves it by
+            # a_x^T E c, a_x the Lagrange values, and its sum by
+            # r eps |k(x, X)| |c|.  The walk's Newton sum W_x^T Z reads no c;
+            # here the two differ by at most 0.6 of this bound.
+            pred_tol = (NESTED_C * eps * r**2 * kmax * np.linalg.norm(c_ref)
+                        * (1.0 + np.linalg.norm(lagrange, axis=0)))
+            assert np.all(pred_err[:, J] <= (pred_tol + pred_trip)[:, None])
             for p2_ref, c in cases:
                 assert np.all(np.abs(p2[:, J] - p2_ref) <= p2_tol[:, None])
                 assert (np.linalg.norm(B[kept][:, J] - c)

@@ -235,6 +235,11 @@ def _splits(problem):
     return problem[0].strictly_pd and congruence_split(problem[0].coefficients()) is not None
 
 
+# Forward-error constant of the walk's predictions against the
+# interpolant's, as NESTED_C in test_power.py.
+NESTED_C = 100.0
+
+
 # A coupled m = 2 kernel that splits into two Gaussians, with its 4th center
 # 1e-6 from its 1st: the 4th pivots of the scalar blocks are 6e-13 and
 # 3e-13 of the diagonal, so each nested factor skips that center.
@@ -255,21 +260,38 @@ def test_nested_prefixes_keep_the_power_function_laws(problem):
     # the centers among the queries: P_g^2 never grows, stays above
     # -RANK_TOL k_g(x, x), and lies below RANK_TOL k_g(x, x) at every center
     # kept so far; the skip counts the interpolant reports match the masks.
+    # The walk's predictions match the interpolant's within the tolerance of
+    # test_power's nested test, from the Lagrange values of a dense
+    # Cholesky solve on each group's kept centers.
     kernel, X, Xq, A = problem
     pe = PowerEvaluator.nested(kernel, X)
+    split, eps = pe.split, np.finfo(float).eps
     Z = np.vstack([X.points, Xq])
     k = np.empty((len(Z), kernel.m))
     for (J, _), kg in zip(pe.factors, pe._scalar_diag(Z)):
         k[:, J] = kg[:, None]
+    groups = [SeparableKernel.create([(ks, [[lam]]) for (ks, _), lam in zip(kernel.terms, col)
+                                      if lam != 0.0]) for col in split.lam.T]
+    AT = A @ split.T.T
+    trip = NESTED_C * eps * np.linalg.cond(split.T)
     prev = k
-    for s, p2, _ in pe.prefixes(A, Z):
+    for s, pred, p2, _ in pe.prefixes(A, Z):
         i = s.centers.n
         assert np.all(p2 <= prev)
         assert np.all(p2 >= -RANK_TOL * k)
-        for (J, factor), skipped in zip(pe.factors, s.solver_info["skipped"]):
+        pred_err = np.abs(pred - s.evaluate_many(Z)) @ np.abs(split.T.T)
+        pred_trip = trip * np.linalg.norm(pred, axis=1)
+        for (J, factor), skipped, kg in zip(pe.factors, s.solver_info["skipped"], groups):
             kept = factor.kept[:i]
             assert skipped == i - np.count_nonzero(kept)
             assert np.all(p2[:i][kept][:, J] <= RANK_TOL * k[:i][kept][:, J])
+            Xk = PointSet(X.points[:i][kept], d=X.d)
+            r, chol = Xk.n, cho_factor(kg.gramian(Xk), lower=True)
+            lagrange = cho_solve(chol, kg.cross_many(Z, Xk).reshape(len(Z), r).T)
+            c = cho_solve(chol, AT[:i][kept][:, J])
+            pred_tol = (NESTED_C * eps * r**2 * np.max(k) * np.linalg.norm(c)
+                        * (1.0 + np.linalg.norm(lagrange, axis=0)))
+            assert np.all(pred_err[:, J] <= (pred_tol + pred_trip)[:, None])
         prev = p2
     if problem is NESTED_SKIP:
         assert s.solver_info["skipped"] == [1, 1]
