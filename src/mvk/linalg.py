@@ -7,9 +7,8 @@ that need not be positive definite takes a diagonally pivoted Cholesky,
 ``_PivotedCholesky``, which skips the unknowns whose Schur pivots vanish
 instead of cutting eigenvalues.  ``_NestedCholesky`` takes the pivots in
 the order of the centers, so that one factor serves every prefix of
-them.  ``pinv_sym``, the eigenvalue-cutoff pseudo-inverse, is left for
-analysis: it goes through the symmetric eigendecomposition rather than an
-SVD, so that the result is symmetric by spectral reconstruction.
+them.  No route takes a pseudo-inverse; ``pinv_sym``, the eigenvalue-cutoff
+pseudo-inverse at RANK_TOL, serves only the benchmark's by-name hooks.
 
 The Cholesky factor and its solves call scipy's f2py LAPACK extension,
 ``scipy/linalg/_flapack``, loaded from its file at import, and
@@ -41,7 +40,8 @@ import numpy as np
 SYM_TOL = 1e-12
 # Relative tolerance on eigendecomposition reconstruction / orthonormality.
 EIG_TOL = 1e-10
-# Default relative eigenvalue cutoff for rank decisions and pseudo-inverses.
+# Relative cutoff for rank decisions (eigenvalues, and the pivots of
+# ``_NestedCholesky``).
 RANK_TOL = 1e-10
 # Relative slack when declaring a matrix positive semi-definite.
 PSD_TOL = 1e-10
@@ -252,17 +252,15 @@ def sym_eig(A):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def pinv_sym(A, rank_tol=RANK_TOL):
+def pinv_sym(A):
     """Moore-Penrose pseudo-inverse of a symmetric matrix.
 
-    Eigenvalues with |lambda| <= rank_tol * max|lambda| are truncated to
+    Eigenvalues with |lambda| <= RANK_TOL * max|lambda| are truncated to
     zero; the rest are inverted.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     w, V = sym_eig(A)
     aw = np.abs(w)
-    kept = aw > rank_tol * max(aw.max(initial=0.0), ZERO_FLOOR)
+    kept = aw > RANK_TOL * max(aw.max(initial=0.0), ZERO_FLOOR)
     return symmetrize((V * np.divide(1.0, w, out=np.zeros_like(w), where=kept)) @ V.T)
 
 
@@ -284,8 +282,7 @@ class _SymFactor:
     (``"lu_fallback"``) and ``"skip"`` warns with the number of pivots
     skipped and takes the pivoted factor.
 
-    ``rank`` counts the pivots kept (the order of A on the other routes);
-    it is None for ``from_pinv``.
+    ``rank`` counts the pivots kept (the order of A on the other routes).
 
     A must be exactly symmetric, and Cholesky overwrites it: A^T is then
     A in Fortran order, so LAPACK factors it in place, writing L over the
@@ -322,27 +319,18 @@ class _SymFactor:
                           f"Cholesky skipped {len(A) - self.rank} of {len(A)} pivots",
                           RuntimeWarning, stacklevel=3)
 
-    @classmethod
-    def from_pinv(cls, P):
-        """Wrap a pseudo-inverse taken at another cutoff (``pinv_sym``)."""
-        self = cls.__new__(cls)
-        self.path, self._M, self.rank = "pseudo_inverse", P, None
-        return self
-
     def solve(self, B):
-        """A^{-1} B, zero at the skipped unknowns on the pivoted route, or A^+ B."""
+        """A^{-1} B, zero at the skipped unknowns on the pivoted route."""
         if self.path == "cholesky":
             return cho_solve(self._M, B)
         if self.path == "lu_fallback":
             return np.linalg.solve(self._M, B)
-        if self.path == "pivoted_cholesky":
-            X = np.zeros(np.shape(B))
-            X[self._M.order] = self._M.back(self._M.forward(B), self.rank)
-            return X
-        return self._M @ B
+        X = np.zeros(np.shape(B))
+        X[self._M.order] = self._M.back(self._M.forward(B), self.rank)
+        return X
 
     def inner(self, C):
-        """C_x A^{-1} C_x^T (or A^+) for each query x of a (k, q, N) array.
+        """C_x A^{-1} C_x^T for each query x of a (k, q, N) array.
 
         ``C`` holds the rows of the cross matrix in the component-major
         order of ``SeparableKernel._blocks``: C[a, x] is the row of
@@ -354,11 +342,6 @@ class _SymFactor:
         ``fit`` takes.
         """
         Cf = C.reshape(-1, C.shape[2])
-        if self.path == "pseudo_inverse":
-            # One (k q, N) x (N, N) GEMM; a 3-D C would make numpy issue
-            # one small GEMM per block.
-            CP = (Cf @ self._M).reshape(C.shape)
-            return np.einsum("aqn,bqn->qab", CP, C)
         # Cf^T is Fortran-ordered, so LAPACK solves it in place on the plain
         # route; the result's transpose is C-ordered again.
         W = (solve_triangular(self._M, Cf.T, overwrite_b=True) if self.path == "cholesky"

@@ -55,7 +55,8 @@ import numpy as np
 from .decomposition import CongruenceSplit
 from .interpolation import Interpolant, _block_solve, _blocks, _path, _split
 from .kernels import PointSet, ScalarKernel, SeparableKernel
-from .linalg import PSD_TOL, _NestedCholesky, _SymFactor, pinv_sym
+from .linalg import PSD_TOL, _NestedCholesky, _SymFactor
+from .linalg import pinv_sym  # noqa: F401  perfbench's tracer rebinds this name
 
 
 class PowerBreakdownError(RuntimeError):
@@ -70,8 +71,8 @@ class PowerEvaluator:
     None for the one block Gramian; ``factors`` holds one (J, factor) pair
     per block, J the block's directions as ``interpolation._blocks`` yields
     them: the groups of ``split`` in order, or ``slice(None)`` for the one
-    block Gramian.  ``path`` is ``"cholesky"``, ``"pivoted_cholesky"``
-    or ``"pseudo_inverse"`` (see ``build``).
+    block Gramian.  ``path`` is ``"cholesky"`` or ``"pivoted_cholesky"``
+    (see ``build``).
     """
 
     kernel: SeparableKernel
@@ -80,23 +81,20 @@ class PowerEvaluator:
     factors: tuple
 
     @classmethod
-    def build(cls, kernel, centers, rank_tol=None):
+    def build(cls, kernel, centers):
         """Factor each block of the Gramian of ``kernel`` on ``centers`` once.
 
-        With ``rank_tol=None`` the route is Cholesky, with no cutoff, when
-        the kernel is strictly pd and the block factors, and otherwise the
-        pivoted Cholesky that skips vanishing pivots
-        (``linalg._PivotedCholesky``); a strictly pd kernel whose block
-        does not factor warns with the number of pivots skipped.  An
-        explicit ``rank_tol`` takes the pseudo-inverse of each block at
-        that cutoff.
+        The route is Cholesky, with no cutoff, when the kernel is strictly
+        pd and the block factors, and otherwise the pivoted Cholesky that
+        skips vanishing pivots (``linalg._PivotedCholesky``); a strictly pd
+        kernel whose block does not factor warns with the number of pivots
+        skipped.
         """
         centers.assert_distinct()
         split = _split(kernel)
         factors = []
         for J, A in _blocks(kernel, split, centers):
-            factors.append((J, _SymFactor(A, kernel.strictly_pd, "skip") if rank_tol is None
-                            else _SymFactor.from_pinv(pinv_sym(A, rank_tol))))
+            factors.append((J, _SymFactor(A, kernel.strictly_pd, "skip")))
             del A
         return cls(kernel, centers, split, tuple(factors))
 
@@ -165,8 +163,8 @@ class PowerEvaluator:
         """G^{-1}, or the generalized inverse ``solve`` applies, as a dense matrix.
 
         On the pivoted route it is zero in the rows and columns of the
-        skipped unknowns; ``build(rank_tol=...)`` gives G^+.  Through a
-        split this is T^T G~^{-1} T blockwise, G~ the scalar blocks.
+        skipped unknowns.  Through a split this is T^T G~^{-1} T blockwise,
+        G~ the scalar blocks.
         """
         return self.solve(np.eye(self.centers.n * self.kernel.m))
 

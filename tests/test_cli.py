@@ -712,3 +712,23 @@ def test_fit_and_bounds_through_the_exp_floor(tmp_path, capsys):
     for Xa in (X, Xq):
         diff = Xa[:, None, :] - X[None, :, :]
         assert np.any(-800.0 * np.einsum("ijk,ijk->ij", diff, diff) < EXP_FLOOR)
+
+
+def test_no_command_takes_a_pseudo_inverse(tmp_path, monkeypatch):
+    # pinv_sym stays only as a benchmark hook; every copy of the name raises
+    def pinv_sym(*args, **kwargs):
+        raise AssertionError("pinv_sym called")
+
+    for module in ("mvk.linalg", "mvk.power", "mvk.interpolation"):
+        monkeypatch.setattr(f"{module}.pinv_sym", pinv_sym)
+    assert main(["example2", "--out", str(tmp_path / "e2")]) == 0
+    assert main(["example2", "--include-sites", "--out", str(tmp_path / "e2s")]) == 0
+    assert main(["counterexample", "--out", str(tmp_path / "c")]) == 0
+    kernels = [str(FIXTURE / f) for f in ("coupled_kernel.json", "poly_kernel.json")]
+    assert main(["analyze", kernels[0], "--out", str(tmp_path / "a")]) == 0
+    for k, kf in enumerate(kernels):
+        model, pred = str(tmp_path / f"model{k}.json"), str(tmp_path / f"pred{k}.csv")
+        assert main(["fit", "--data", str(FIXTURE / "coupled_train.csv"), "--kernel", kf,
+                     "--out-model", model]) == 0
+        assert main(["eval", "--model", model, "--data", str(FIXTURE / "coupled_query.csv"),
+                     "--out-csv", pred, "--bounds", "--residual-norm", "0.5"]) == 0

@@ -69,7 +69,7 @@ def test_fit_exact_on_centers_cholesky():
     assert np.allclose(s(X.points[3]), F[3], atol=1e-10)
 
 
-def test_fit_pseudo_inverse_path():
+def test_fit_pivoted_cholesky_path():
     k = polynomial_kernel()
     X = PointSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     # target inside the native space: a kernel translate
