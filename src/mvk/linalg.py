@@ -10,10 +10,10 @@ the order of the centers, so that one factor serves every prefix of
 them.  No route takes a pseudo-inverse; ``pinv_sym``, the eigenvalue-cutoff
 pseudo-inverse at RANK_TOL, serves only the benchmark's by-name hooks.
 
-The Cholesky factor and its solves call scipy's f2py LAPACK extension,
-``scipy/linalg/_flapack``, loaded from its file at import, and
-``sym_lower_matmul`` its BLAS extension, ``scipy/linalg/_fblas``, loaded
-from its file on first use.
+The Cholesky factors (``dpotrf``, pivoted ``dpstrf``) and their solves
+call scipy's f2py LAPACK extension, ``scipy/linalg/_flapack``, loaded from
+its file at import, and ``sym_lower_matmul`` its BLAS extension,
+``scipy/linalg/_fblas``, loaded from its file on first use.
 Importing ``scipy.linalg`` for its wrappers would cost most of the
 start-up of every ``mvk`` command (it pulls in ``numpy.testing``,
 ``unittest`` and ``email`` through scipy's array-API layer), and locating
@@ -353,40 +353,39 @@ class _SymFactor:
 class _PivotedCholesky:
     """L L^T = A[order][:, order] for a symmetric psd A, skipping vanishing pivots.
 
-    Diagonal pivoting: each step takes the unknown j whose Schur pivot d_j,
-    the power function at j of the unknowns taken before, is largest
-    relative to A_jj.  The factor stops once that ratio is at most n eps,
-    the roundoff of a Schur complement of order n (LAPACK's dpstrf stops
-    at n eps max_j A_jj), and skips the unknowns left; there is no
-    eigenvalue cutoff.  The greedy choice keeps the factored block well
-    conditioned, so that its roundoff stays small.  A stop at roundoff,
-    not at RANK_TOL, drops only directions that the kept unknowns span to
-    roundoff, so that adding centers does not raise the power function,
-    as a coarser cutoff can.  ``order`` lists the unknowns kept, in the
-    order of L's rows; ``forward`` applies L^{-1} and ``back`` solves with
-    a leading block of L^T.
+    LAPACK's dpstrf on S A S, S = diag(A)^(-1/2): each step takes the
+    unknown j whose Schur pivot d_j, the power function at j of the
+    unknowns taken before, is largest relative to A_jj (d_j / A_jj is the
+    pivot of S A S), and the factor stops once that ratio is at most n eps,
+    the roundoff of a Schur complement of order n, skipping the unknowns
+    left and those with A_jj = 0; there is no eigenvalue cutoff.  The
+    greedy choice keeps the factored block well conditioned, so that its
+    roundoff stays small.  A stop at roundoff, not at RANK_TOL, drops only
+    directions that the kept unknowns span to roundoff, so that adding
+    centers does not raise the power function, as a coarser cutoff can.
+    dpstrf's default tolerance would take eps / 2 and count only the
+    unknowns with A_jj > 0.  L = S^{-1} L_S; ``order`` lists the unknowns
+    kept, in the order of L's rows; ``forward`` applies L^{-1} and ``back``
+    solves with a leading block of L^T.
     """
 
     def __init__(self, A):
-        A = np.asarray_chkfinite(A)
-        # As in LAPACK's dpstrf: position r takes the r-th pivot's unknown,
-        # perm[r], so the unknowns left stay in the columns r: of Lt, whose
-        # row k is column k of L; d and diag are the Schur pivots and A's
-        # diagonal in the same order.
-        n, diag = len(A), A.diagonal().copy()
-        perm, Lt, d = np.arange(n), np.zeros((n, n)), diag.copy()
-        for r in range(n + 1):
-            rel = np.divide(d[r:], diag[r:], out=np.zeros(n - r), where=diag[r:] > 0)
-            if r == n or rel.max() <= n * np.finfo(float).eps:
-                break
-            j = r + int(np.argmax(rel))
-            for a in (perm, d, diag, Lt[:r].T):
-                a[[r, j]] = a[[j, r]]
-            Lt[r, r:] = (A[perm[r], perm[r:]] - Lt[:r, r] @ Lt[:r, r:]) / np.sqrt(d[r])
-            d[r:] -= Lt[r, r:] ** 2
-        self.order = perm[:r]
-        # the (r, r) lower factor of the kept unknowns, Fortran-ordered
-        self._L = np.asfortranarray(Lt[:r, :r].T)
+        A = np.asarray_chkfinite(A, dtype=np.float64)
+        live = np.flatnonzero(A.diagonal() > 0)
+        s = 1.0 / np.sqrt(A.diagonal()[live])
+        # S A S in one copy, whose Fortran-ordered transpose dpstrf factors in place
+        M = A[np.ix_(live, live)]
+        M *= s
+        M *= s[:, None]
+        c, piv, r, info = _lapack.dpstrf(M.T, tol=len(A) * np.finfo(float).eps,
+                                         lower=1, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal pstrf")
+        piv = piv[:r] - 1
+        self.order = live[piv]
+        # L's lower triangle, all the solves read, Fortran-ordered
+        self._L = np.asfortranarray(c[:r, :r])
+        self._L /= s[piv][:, None]
 
     def forward(self, B):
         """L^{-1} B[order] for an (n, k) ``B`` with one row per unknown of A."""
